@@ -1,0 +1,109 @@
+"""Golden reports: every stream and DelayReport field pinned to stored values.
+
+The stored values live in report_fingerprints.json next to this file.
+Each entry pins a SHA-256 of the stream and every DelayReport field but
+wall_time_s; lazy_cells_allocated is pinned as an upper bound only, so
+a machine may use less lazy space but never more.  A change that moves
+any other field has changed what the schedules do and must say why.
+
+Regenerate the file (only when a change is meant to move a report) with
+
+    PYTHONPATH=src python tests/test_report_fingerprints.py
+"""
+import hashlib
+import json
+import math
+from pathlib import Path
+
+from distenum import gen_clique_path, gen_random, make_enumerator, run_metered
+
+from conftest import all_mode_combos, small_corpus
+
+DATA = Path(__file__).with_name("report_fingerprints.json")
+
+
+def fingerprint_graphs():
+    graphs = list(small_corpus())
+    graphs.append(("clique-path-8", gen_clique_path(8)))
+    for directed in (False, True):
+        for max_weight in (0, 20):
+            tag = f"rand60-{'d' if directed else 'u'}-w{max_weight}"
+            graphs.append((tag, gen_random(60, 240, directed=directed,
+                                           max_weight=max_weight, seed=1)))
+    return graphs
+
+
+def _mode_tag(mode):
+    flags = [name for name in ("row_wise", "no_self", "reachable_only",
+                               "sorted") if getattr(mode, name)]
+    return "+".join(flags) or "plain"
+
+
+def fingerprint_runs():
+    """(key, graph, mode, source, dedup) for every pinned run."""
+    runs = []
+    modes = all_mode_combos()
+    for tag, g in fingerprint_graphs():
+        for mode in modes:
+            runs.append((f"{tag}/{_mode_tag(mode)}", g, mode, None, False))
+            if not g.directed:
+                runs.append((f"{tag}/{_mode_tag(mode)}/dedup", g, mode, None,
+                             True))
+        if g.n:
+            plain, trimmed = modes[0], modes[-1]
+            runs.append((f"{tag}/source0/{_mode_tag(plain)}", g, plain, 0,
+                         False))
+            runs.append((f"{tag}/source{g.n - 1}/{_mode_tag(trimmed)}", g,
+                         trimmed, g.n - 1, False))
+    return runs
+
+
+def measure(g, mode, source, dedup):
+    enum = make_enumerator(g, mode, source=source, dedup=dedup)
+    triples, rep = run_metered(enum)
+    digest = hashlib.sha256()
+    for t in triples:
+        d = "inf" if t.distance == math.inf else str(t.distance)
+        digest.update(f"{t.source} {t.target} {d}\n".encode())
+    return {
+        "stream_sha256": digest.hexdigest(),
+        "pulls": rep.pulls,
+        "max_delay": rep.max_delay,
+        "mean_delay": str(rep.mean_delay),
+        "per_phase_max": dict(sorted(rep.per_phase_max.items())),
+        "declared_bound_value": rep.declared_bound_value,
+        "fitted_constant": None if rep.fitted_constant is None
+        else str(rep.fitted_constant),
+        "peak_queue": rep.peak_queue,
+        "lazy_cells_allocated": rep.lazy_cells_allocated,
+        "preprocessing_steps": rep.preprocessing_steps,
+    }
+
+
+def test_reports_match_fingerprints():
+    expected = json.loads(DATA.read_text())
+    runs = fingerprint_runs()
+    assert sorted(expected) == sorted(key for key, *_ in runs)
+    mismatches = []
+    for key, g, mode, source, dedup in runs:
+        got = measure(g, mode, source, dedup)
+        want = expected[key]
+        lazy_cap = want["lazy_cells_allocated"]
+        if got.pop("lazy_cells_allocated") > lazy_cap:
+            mismatches.append(f"{key}: lazy cells over {lazy_cap}")
+        for field, value in got.items():
+            if value != want[field]:
+                mismatches.append(f"{key}: {field} {value!r} != "
+                                  f"{want[field]!r}")
+    assert not mismatches, "\n".join(mismatches[:20])
+
+
+def write_fingerprints():
+    data = {key: measure(g, mode, source, dedup)
+            for key, g, mode, source, dedup in fingerprint_runs()}
+    DATA.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(data)} entries to {DATA}")
+
+
+if __name__ == "__main__":
+    write_fingerprints()

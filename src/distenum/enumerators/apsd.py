@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from collections import deque
 
-from .base import (Enumerator, INFINITE, IDLE, OutputMode, base_avg_degree,
+from .base import (Enumerator, IDLE, OutputMode, base_avg_degree,
                    base_max_degree)
-from .searches import slot_search
+from .searches import cheapest_out_arc, fan_row, has_out_arc, row_search
 from ..lazyarray import LazyArray
 
 
@@ -70,11 +70,8 @@ class RowSearchEnumerator(Enumerator):
         sources = []
         for v in range(g.n):
             c.total += 1
-            for i in g.arcs_from(v):
-                c.total += 1
-                if g.targets[i] != v:
-                    sources.append(v)
-                    break
+            if has_out_arc(g, c, v):
+                sources.append(v)
         self._sources = sources
 
     def _make_machine(self):
@@ -85,10 +82,11 @@ class RowSearchEnumerator(Enumerator):
             else range(self.graph.n)
         skip = 0 if self.mode.no_self else -1
         sweep = not self.mode.reachable_only
+        arrays = []
         for s in sources:
             while len(self.q) >= self.qcap:
                 yield IDLE
-            yield from slot_search(self, s, skip_le=skip, sweep=sweep)
+            yield from row_search(self, s, arrays, skip_le=skip, sweep=sweep)
 
     def _refresh_budget(self):
         self._budget_cached = self._budget_max_degree(
@@ -141,10 +139,11 @@ class UnconstrainedApsdEnumerator(Enumerator):
                 self._emit(v, v, 0)
                 yield
         sources = _balanced_order(range(n)) if self.dedup else range(n)
+        arrays = []
         for s in sources:
             while len(self.q) >= self.qcap:
                 yield IDLE
-            yield from slot_search(self, s, skip_le=0, sweep=True)
+            yield from row_search(self, s, arrays, skip_le=0)
 
     def _after_emit(self):
         if self.phase == "head" and self.emitted >= self.graph.n // 2:
@@ -237,6 +236,7 @@ class NoSelfApsdEnumerator(Enumerator):
         cursor_alive = True
         pending = self._pending
         search = None
+        arrays = []
         while True:
             if cursor_alive and len(self.q) < self.low_water:
                 try:
@@ -246,7 +246,7 @@ class NoSelfApsdEnumerator(Enumerator):
                 continue
             if search is None and pending:
                 self.counter.total += 1
-                search = self._make_search(pending.popleft())
+                search = self._make_search(pending.popleft(), arrays)
                 yield
                 continue
             if search is not None:
@@ -268,7 +268,7 @@ class NoSelfApsdEnumerator(Enumerator):
         n = g.n
         offsets, targets = g.offsets, g.targets
         seen = 0
-        slots = [None, None]
+        marks = None
         for s in self._cursor_order():
             while len(self.q) >= self.qcap:
                 yield IDLE
@@ -278,14 +278,12 @@ class NoSelfApsdEnumerator(Enumerator):
             self._degsum_budget = seen
             self._refresh_budget()
             yield
-            marks = None
             out_arc = False
             if deg > 0:
-                slot = s & 1
-                if slots[slot] is not None:
-                    slots[slot].release()
-                marks = LazyArray(n, c)
-                slots[slot] = marks
+                if marks is None:
+                    marks = LazyArray(n, c)
+                else:
+                    marks.reset()
                 yield
             for i in range(offsets[s], offsets[s + 1]):
                 c.total += 1
@@ -303,39 +301,19 @@ class NoSelfApsdEnumerator(Enumerator):
             else:
                 # Only loops or nothing at all: the row is all
                 # unreachable and needs no search.
-                for t in range(n):
-                    while len(self.q) >= self.qcap:
-                        yield IDLE
-                    c.total += 1
-                    if t != s:
-                        self._emit(s, t, INFINITE)
-                    yield
+                yield from fan_row(self, s)
 
     def _weighted_cursor(self):
         g, c = self.graph, self.counter
-        n = g.n
-        offsets, targets, weights = g.offsets, g.targets, g.weights
         for s in self._cursor_order():
             while len(self.q) >= self.qcap:
                 yield IDLE
             c.total += 1
             yield
-            best_w = best_t = None
-            for i in range(offsets[s], offsets[s + 1]):
-                c.total += 1
-                t = targets[i]
-                if t != s and (best_w is None or weights[i] < best_w):
-                    best_w, best_t = weights[i], t
-                yield
+            best_w, best_t = yield from cheapest_out_arc(g, c, s)
             if best_t is None:
                 # No way out of s: its whole row is unreachable.
-                for t in range(n):
-                    while len(self.q) >= self.qcap:
-                        yield IDLE
-                    c.total += 1
-                    if t != s:
-                        self._emit(s, t, INFINITE)
-                    yield
+                yield from fan_row(self, s)
             else:
                 # A cheapest outgoing arc is a shortest path to its head:
                 # any other route starts with an arc at least as heavy.
@@ -345,15 +323,15 @@ class NoSelfApsdEnumerator(Enumerator):
                 c.total += 1
                 yield
 
-    def _make_search(self, s):
+    def _make_search(self, s, arrays):
         if not self.graph.weighted:
-            return slot_search(self, s, skip_le=1, sweep=True)
-        return self._weighted_search(s)
+            return row_search(self, s, arrays, skip_le=1)
+        return self._weighted_search(s, arrays)
 
-    def _weighted_search(self, s):
+    def _weighted_search(self, s, arrays):
         t = self._tmin.read(s)
         yield
-        yield from slot_search(self, s, skip_le=0, skip_target=t, sweep=True)
+        yield from row_search(self, s, arrays, skip_le=0, skip_target=t)
 
     def _refresh_budget(self):
         self._budget_cached = self._budget_avg_degree(

@@ -106,8 +106,6 @@ class Enumerator:
         self._machine = None
         self._prepared = False
         self._finished = False
-        self._slots: list[tuple | None] = [None, None]
-        self._slot_idx = 0
 
     # -- public interface -------------------------------------------------
 
@@ -168,12 +166,6 @@ class Enumerator:
             if t is None:
                 return
             yield t
-
-    def budget(self) -> int:
-        """Step budget of the current phase."""
-        if not self._prepared:
-            self.prepare()
-        return self._budget_cached
 
     def declared_bound(self) -> int:
         """Per-pull step bound the schedule promises never to exceed."""

@@ -1,12 +1,17 @@
-"""Instrumented single-source searches used as machine building blocks.
+"""Instrumented searches and row scans: the only BFS and Dijkstra loops.
 
-Both searches are generators that yield once per handful of counted
-steps so a pull can stop them mid-flight with bounded overshoot.  They
-emit (source, target, distance) into the owning enumerator's solution
-queue at visit time: breadth-first in hop order, best-first in weight
-order.  The optional closing sweep reports unreached vertices with
-infinite distance.  Both back off (yield IDLE) between visits while the
-solution queue is at capacity, so banked output stays linear in n.
+bfs_search and dijkstra_search are generators that yield once per
+handful of counted steps, so a pull can stop them mid-flight with
+bounded overshoot.  Each hands its visits to an emit(s, v, d) callable,
+breadth-first in hop order or best-first in weight order: linear
+machines pass the enumerator's _emit, which banks the triple in the
+solution queue, and a sorted pool instance passes one that parks it for
+the pool's driver.  Unless told otherwise, a search backs off (yields
+IDLE) between visits while the solution queue is at capacity, so banked
+output stays linear in n.  row_search runs one search per source on a
+single array set that its caller keeps for the whole run and resets per
+source.  The scans after the searches each serve several machines and
+charge the same steps at the same yield points for all of them.
 """
 from __future__ import annotations
 
@@ -17,35 +22,52 @@ from ..lazyarray import LazyArray
 from ..pq import AddressablePQ
 
 
-def slot_search(enum, s: int, *, skip_le: int = -1,
-                skip_target: int | None = None, sweep: bool = True):
-    """One search whose arrays live in an alternating two-slot pool.
-
-    Sequential all-pairs machines call this once per source; releasing
-    the slot of the search before last keeps at most two searches' cells
-    concurrently live, so lazy space stays linear in n.
-    """
+def search_arrays(enum) -> list[LazyArray]:
+    """Fresh arrays for one search: dist, plus settled and handles if weighted."""
     g = enum.graph
-    counter = enum.counter
-    slot = enum._slot_idx & 1
-    enum._slot_idx += 1
-    old = enum._slots[slot]
-    if old is not None:
-        for arr in old:
-            arr.release()
-    want = 3 if g.weighted else 1
-    arrs = tuple(LazyArray(g.n, counter) for _ in range(want))
-    enum._slots[slot] = arrs
-    yield
-    if g.weighted:
-        yield from dijkstra_search(enum, s, *arrs, skip_self=skip_le >= 0,
-                                   skip_target=skip_target, sweep=sweep)
+    return [LazyArray(g.n, enum.counter)
+            for _ in range(3 if g.weighted else 1)]
+
+
+def search(enum, s: int, arrays, emit, *, skip_le: int = -1,
+           skip_target: int | None = None, sweep: bool = True,
+           backoff: bool = True):
+    """The graph's search from s on arrays, then the optional sweep.
+
+    skip_le suppresses emissions with distance <= skip_le (-1 emits all,
+    0 drops the self pair, 1 additionally drops direct neighbors; a
+    weighted search only honors the self-pair part).  skip_target drops
+    one further target.
+    """
+    if enum.graph.weighted:
+        yield from dijkstra_search(enum, s, *arrays, emit,
+                                   skip_self=skip_le >= 0,
+                                   skip_target=skip_target, backoff=backoff)
     else:
-        yield from bfs_search(enum, s, arrs[0], skip_le=skip_le, sweep=sweep)
+        yield from bfs_search(enum, s, arrays[0], emit, skip_le=skip_le,
+                              backoff=backoff)
+    if sweep:
+        yield from sweep_unreached(enum, s, arrays[0])
 
 
-def bfs_search(enum, s: int, dist: LazyArray, *, skip_le: int = -1,
-               sweep: bool = True):
+def row_search(enum, s: int, arrays: list, **kw):
+    """search() into enum's queue on the caller's reusable array set.
+
+    The set starts as an empty list; the first call fills it, later
+    calls reset it.  Sequential all-pairs machines run one search at a
+    time, so one set serves the whole run.
+    """
+    if arrays:
+        for arr in arrays:
+            arr.reset()
+    else:
+        arrays.extend(search_arrays(enum))
+    yield
+    yield from search(enum, s, arrays, enum._emit, **kw)
+
+
+def bfs_search(enum, s: int, dist: LazyArray, emit, *, skip_le: int = -1,
+               backoff: bool = True):
     """Breadth-first search from s, emitting visits with hop distance.
 
     skip_le suppresses emissions with distance <= skip_le (-1 emits all,
@@ -59,7 +81,7 @@ def bfs_search(enum, s: int, dist: LazyArray, *, skip_le: int = -1,
     frontier = deque([s])
     yield
     while frontier:
-        while len(enum.q) >= enum.qcap:
+        while backoff and len(enum.q) >= enum.qcap:
             yield IDLE
         counter.total += 1
         v = frontier.popleft()
@@ -76,21 +98,13 @@ def bfs_search(enum, s: int, dist: LazyArray, *, skip_le: int = -1,
                 frontier.append(w)
             yield
         if dv > skip_le:
-            enum._emit(s, v, dv)
+            emit(s, v, dv)
         yield
-    if sweep:
-        for t in range(g.n):
-            while len(enum.q) >= enum.qcap:
-                yield IDLE
-            counter.total += 1
-            if dist.read(t) is None:
-                enum._emit(s, t, INFINITE)
-            yield
 
 
 def dijkstra_search(enum, s: int, dist: LazyArray, settled: LazyArray,
-                    handles: LazyArray, *, skip_self: bool = False,
-                    skip_target: int | None = None, sweep: bool = True):
+                    handles: LazyArray, emit, *, skip_self: bool = False,
+                    skip_target: int | None = None, backoff: bool = True):
     """Best-first search from s, emitting settles in distance order."""
     g = enum.graph
     counter = enum.counter
@@ -101,7 +115,7 @@ def dijkstra_search(enum, s: int, dist: LazyArray, settled: LazyArray,
     handles.write(s, h)
     yield
     while pq:
-        while len(enum.q) >= enum.qcap:
+        while backoff and len(enum.q) >= enum.qcap:
             yield IDLE
         d, v = yield from pq.extract_min_g()
         settled.write(v, 1)
@@ -124,13 +138,53 @@ def dijkstra_search(enum, s: int, dist: LazyArray, settled: LazyArray,
                 yield from pq.decrease_key_g(handles.read(w), nd)
             yield
         if (v != s or not skip_self) and v != skip_target:
-            enum._emit(s, v, d)
+            emit(s, v, d)
         yield
-    if sweep:
-        for t in range(g.n):
-            while len(enum.q) >= enum.qcap:
-                yield IDLE
-            counter.total += 1
-            if settled.read(t) is None:
-                enum._emit(s, t, INFINITE)
-            yield
+
+
+def sweep_unreached(enum, s: int, dist: LazyArray):
+    """Emit (s, t, inf) for every t that a finished search from s left unset."""
+    counter = enum.counter
+    for t in range(enum.graph.n):
+        while len(enum.q) >= enum.qcap:
+            yield IDLE
+        counter.total += 1
+        if dist.read(t) is None:
+            enum._emit(s, t, INFINITE)
+        yield
+
+
+def fan_row(enum, s: int):
+    """Emit (s, t, inf) for every t != s: the row of a vertex with no way out."""
+    counter = enum.counter
+    for t in range(enum.graph.n):
+        while len(enum.q) >= enum.qcap:
+            yield IDLE
+        counter.total += 1
+        if t != s:
+            enum._emit(s, t, INFINITE)
+        yield
+
+
+def has_out_arc(g, counter, v: int) -> bool:
+    """True when v has a non-loop arc; one counted step per arc examined."""
+    targets = g.targets
+    for i in range(g.offsets[v], g.offsets[v + 1]):
+        counter.total += 1
+        if targets[i] != v:
+            return True
+    return False
+
+
+def cheapest_out_arc(g, counter, v: int):
+    """Scan v's arcs, yielding after each; return (weight, head) of the
+    cheapest non-loop arc (first wins ties), or (None, None)."""
+    offsets, targets, weights = g.offsets, g.targets, g.weights
+    best_w = best_t = None
+    for i in range(offsets[v], offsets[v + 1]):
+        counter.total += 1
+        t = targets[i]
+        if t != v and (best_w is None or weights[i] < best_w):
+            best_w, best_t = weights[i], t
+        yield
+    return best_w, best_t

@@ -26,23 +26,26 @@ from __future__ import annotations
 
 from collections import deque
 
-from .base import (Enumerator, INFINITE, IDLE, OutputMode, base_max_degree)
+from .base import Enumerator, INFINITE, IDLE, OutputMode, base_max_degree
+from .searches import (cheapest_out_arc, fan_row, has_out_arc, search,
+                       search_arrays, sweep_unreached)
 from ..lazyarray import LazyArray
-from ..pq import AddressablePQ
+from ..pq import AddressablePQ, _drain
 
 
 class _Instance:
-    __slots__ = ("s", "dist", "settled", "handles", "gen", "pending",
-                 "reached")
+    """A pool member: one search from s that parks each visit in pending."""
 
-    def __init__(self, s, dist, settled=None, handles=None):
+    __slots__ = ("s", "dist", "gen", "pending")
+
+    def __init__(self, s, dist):
         self.s = s
         self.dist = dist
-        self.settled = settled
-        self.handles = handles
         self.gen = None
         self.pending = None
-        self.reached = 0
+
+    def park(self, s, v, d):
+        self.pending = (s, v, d)
 
 
 class _SortedBase(Enumerator):
@@ -63,83 +66,15 @@ class _SortedBase(Enumerator):
 
     # -- per-source search instances --------------------------------------
 
-    def _new_bfs_instance(self, s, skip_le):
-        inst = _Instance(s, LazyArray(self.graph.n, self.counter))
-        inst.gen = self._bfs_instance(inst, skip_le)
+    def _new_instance(self, s, skip_le):
+        # The pool's drivers watch the queue cap themselves, and _advance
+        # swallows yields, so an instance must never back off.
+        arrays = search_arrays(self)
+        inst = _Instance(s, arrays[0])
+        inst.gen = search(self, s, arrays, inst.park, skip_le=skip_le,
+                          sweep=False, backoff=False)
         self._instances.append(inst)
         return inst
-
-    def _new_dijkstra_instance(self, s):
-        n, c = self.graph.n, self.counter
-        inst = _Instance(s, LazyArray(n, c), LazyArray(n, c), LazyArray(n, c))
-        inst.gen = self._dijkstra_instance(inst)
-        self._instances.append(inst)
-        return inst
-
-    def _bfs_instance(self, inst, skip_le):
-        g, c = self.graph, self.counter
-        offsets, targets = g.offsets, g.targets
-        dist = inst.dist
-        s = inst.s
-        dist.write(s, 0)
-        inst.reached = 1
-        c.total += 1
-        frontier = deque([s])
-        yield
-        while frontier:
-            c.total += 1
-            v = frontier.popleft()
-            dv = dist.read(v)
-            yield
-            nd = dv + 1
-            for i in range(offsets[v], offsets[v + 1]):
-                c.total += 1
-                w = targets[i]
-                if dist.read(w) is None:
-                    dist.write(w, nd)
-                    inst.reached += 1
-                    c.total += 1
-                    frontier.append(w)
-                yield
-            if dv > skip_le:
-                inst.pending = (s, v, dv)
-            yield
-
-    def _dijkstra_instance(self, inst):
-        g, c = self.graph, self.counter
-        offsets, targets, weights = g.offsets, g.targets, g.weights
-        dist, settled, handles = inst.dist, inst.settled, inst.handles
-        s = inst.s
-        pq = AddressablePQ(c)
-        dist.write(s, 0)
-        inst.reached = 1
-        h = yield from pq.insert_g(0, s)
-        handles.write(s, h)
-        yield
-        while pq:
-            d, v = yield from pq.extract_min_g()
-            settled.write(v, 1)
-            yield
-            for i in range(offsets[v], offsets[v + 1]):
-                c.total += 1
-                w = targets[i]
-                if settled.read(w) is not None:
-                    yield
-                    continue
-                nd = d + weights[i]
-                dw = dist.read(w)
-                if dw is None:
-                    dist.write(w, nd)
-                    inst.reached += 1
-                    hw = yield from pq.insert_g(nd, w)
-                    handles.write(w, hw)
-                elif nd < dw:
-                    dist.write(w, nd)
-                    yield from pq.decrease_key_g(handles.read(w), nd)
-                yield
-            if v != s:
-                inst.pending = (s, v, d)
-            yield
 
     def _advance(self, inst):
         while inst.pending is None:
@@ -205,17 +140,9 @@ class _SortedBase(Enumerator):
     # -- closing infinite phase -------------------------------------------
 
     def _inf_phase(self):
-        g, c = self.graph, self.counter
-        n = g.n
         for s in self._fans:
-            for t in range(n):
-                while len(self.q) >= self.qcap:
-                    yield IDLE
-                c.total += 1
-                if t != s:
-                    self._emit(s, t, INFINITE)
-                yield
-        if g.directed:
+            yield from fan_row(self, s)
+        if self.graph.directed:
             yield from self._inf_directed()
         else:
             yield from self._inf_undirected()
@@ -277,18 +204,11 @@ class _SortedBase(Enumerator):
         n = g.n
         for inst in self._instances:
             c.total += 1
-            if inst.reached >= n:
+            if inst.dist.written_count >= n:
                 yield
                 continue
             yield
-            dist = inst.dist
-            for t in range(n):
-                while len(self.q) >= self.qcap:
-                    yield IDLE
-                c.total += 1
-                if dist.read(t) is None:
-                    self._emit(inst.s, t, INFINITE)
-                yield
+            yield from sweep_unreached(self, inst.s, inst.dist)
 
 
 class SortedApsdEnumerator(_SortedBase):
@@ -331,21 +251,14 @@ class SortedApsdEnumerator(_SortedBase):
         if g.weighted:
             yield from self._start_weighted()
         else:
-            offsets, targets = g.offsets, g.targets
             pool = deque()
             for v in range(n):
                 c.total += 1
                 # No non-loop arc: the whole row past the self pair is
                 # unreachable, so a search instance would burn setup and
                 # teardown without producing; fan the row out instead.
-                out_arc = False
-                for i in range(offsets[v], offsets[v + 1]):
-                    c.total += 1
-                    if targets[i] != v:
-                        out_arc = True
-                        break
-                if out_arc:
-                    pool.append(self._new_bfs_instance(v, 0))
+                if has_out_arc(g, c, v):
+                    pool.append(self._new_instance(v, 0))
                     c.total += 1
                 else:
                     self._fans.append(v)
@@ -356,22 +269,15 @@ class SortedApsdEnumerator(_SortedBase):
 
     def _start_weighted(self):
         g, c = self.graph, self.counter
-        offsets, targets, weights = g.offsets, g.targets, g.weights
         sched = AddressablePQ(c)
         for v in range(g.n):
             c.total += 1
-            best = None
-            for i in range(offsets[v], offsets[v + 1]):
-                c.total += 1
-                t = targets[i]
-                if t != v and (best is None or weights[i] < best):
-                    best = weights[i]
-                yield
+            best, _ = yield from cheapest_out_arc(g, c, v)
             if best is None:
                 self._fans.append(v)
                 yield
                 continue
-            inst = self._new_dijkstra_instance(v)
+            inst = self._new_instance(v, 0)
             c.total += 1
             yield
             yield from sched.insert_g(best, inst)
@@ -393,7 +299,6 @@ class SortedNoSelfApsdEnumerator(_SortedBase):
         g, c = self.graph, self.counter
         n = g.n
         if not g.weighted:
-            offsets, targets = g.offsets, g.targets
             dmax = 0
             for v in range(n):
                 c.total += 1
@@ -402,13 +307,7 @@ class SortedNoSelfApsdEnumerator(_SortedBase):
                     dmax = deg
                 # A vertex with no non-loop arc produces nothing: treat
                 # it like an isolated one and fan its row out directly.
-                out_arc = False
-                for i in range(offsets[v], offsets[v + 1]):
-                    c.total += 1
-                    if targets[i] != v:
-                        out_arc = True
-                        break
-                if out_arc:
+                if has_out_arc(g, c, v):
                     self._sources.append(v)
                 else:
                     self._fans.append(v)
@@ -416,24 +315,18 @@ class SortedNoSelfApsdEnumerator(_SortedBase):
             return
         # Weighted: the whole setup fits the preprocessing allowance,
         # so arrays, instances and the scheduler heap are built here.
-        offsets, targets, weights = g.offsets, g.targets, g.weights
         dmax = 0
         entries = []
         for v in range(n):
             c.total += 1
-            deg = offsets[v + 1] - offsets[v]
+            deg = g.degree(v)
             if deg > dmax:
                 dmax = deg
-            best = None
-            for i in range(offsets[v], offsets[v + 1]):
-                c.total += 1
-                t = targets[i]
-                if t != v and (best is None or weights[i] < best):
-                    best = weights[i]
+            best, _ = _drain(cheapest_out_arc(g, c, v))
             if best is None:
                 self._fans.append(v)
                 continue
-            inst = self._new_dijkstra_instance(v)
+            inst = self._new_instance(v, 0)
             c.total += 1
             entries.append((best, inst))
         self._dmax_seen = dmax
@@ -454,7 +347,7 @@ class SortedNoSelfApsdEnumerator(_SortedBase):
             c = self.counter
             for s in self._sources:
                 c.total += 1
-                pool.append(self._new_bfs_instance(s, 1))
+                pool.append(self._new_instance(s, 1))
                 c.total += 1
                 yield
             yield from self._pool_loop(pool)
@@ -468,16 +361,15 @@ class SortedNoSelfApsdEnumerator(_SortedBase):
         g, c = self.graph, self.counter
         n = g.n
         offsets, targets = g.offsets, g.targets
-        slots = [None, None]
-        for idx, s in enumerate(self._sources):
+        marks = None
+        for s in self._sources:
             while len(self.q) >= self.qcap:
                 yield IDLE
             c.total += 1
-            slot = idx & 1
-            if slots[slot] is not None:
-                slots[slot].release()
-            marks = LazyArray(n, c)
-            slots[slot] = marks
+            if marks is None:
+                marks = LazyArray(n, c)
+            else:
+                marks.reset()
             yield
             for i in range(offsets[s], offsets[s + 1]):
                 c.total += 1
@@ -486,7 +378,5 @@ class SortedNoSelfApsdEnumerator(_SortedBase):
                     marks.write(t, 1)
                     self._emit(s, t, 1)
                 yield
-        if slots[0] is not None:
-            slots[0].release()
-        if slots[1] is not None:
-            slots[1].release()
+        if marks is not None:
+            marks.release()

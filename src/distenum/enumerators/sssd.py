@@ -11,8 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .base import Enumerator, OutputMode, base_max_degree
-from .searches import bfs_search, dijkstra_search
-from ..lazyarray import LazyArray
+from .searches import search, search_arrays
 
 
 class SingleSourceEnumerator(Enumerator):
@@ -27,24 +26,9 @@ class SingleSourceEnumerator(Enumerator):
             self._budget_scale *= 2
 
     def _make_machine(self):
-        g = self.graph
-        sweep = not self.mode.reachable_only
-        if g.weighted:
-            return self._weighted_machine(sweep)
-        return self._unweighted_machine(sweep)
-
-    def _unweighted_machine(self, sweep):
-        dist = LazyArray(self.graph.n, self.counter)
         skip = 0 if self.mode.no_self else -1
-        return bfs_search(self, self.source, dist, skip_le=skip, sweep=sweep)
-
-    def _weighted_machine(self, sweep):
-        n, c = self.graph.n, self.counter
-        dist = LazyArray(n, c)
-        settled = LazyArray(n, c)
-        handles = LazyArray(n, c)
-        return dijkstra_search(self, self.source, dist, settled, handles,
-                               skip_self=self.mode.no_self, sweep=sweep)
+        return search(self, self.source, search_arrays(self), self._emit,
+                      skip_le=skip, sweep=not self.mode.reachable_only)
 
     def _refresh_budget(self):
         self._budget_cached = self._budget_max_degree(

@@ -15,6 +15,13 @@ Instrumentation: allocation costs one counted step regardless of
 capacity, every read or write costs one counted step.  Live cell counts
 are tracked on the StepCounter for space reporting; release() retires
 the array's cells from the live total.
+
+reset() forgets every written cell by setting written_count to zero, the
+O(1) clear of Briggs & Torczon's sparse set ("An efficient
+representation for sparse sets", 1993): stale pointers fail the same
+back-pointer test as garbage.  It costs one counted step, as allocation
+does, so reusing an array in place of a fresh one leaves step counts
+unchanged and only the live-cell total drops.
 """
 from __future__ import annotations
 
@@ -74,6 +81,11 @@ class LazyArray:
         self._back[p] = x
         self._value[p] = value
         self.written_count = p + 1
+
+    def reset(self) -> None:
+        """Forget every written cell in constant time (one counted step)."""
+        self.counter.total += 1
+        self.written_count = 0
 
     def release(self) -> None:
         """Retire this array from the live-cell accounting (idempotent)."""

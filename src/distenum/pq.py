@@ -48,12 +48,6 @@ class AddressablePQ:
         self._check_live(handle)
         return self._keys[handle]
 
-    def peek_min(self):
-        if not self._heap:
-            raise IndexError("peek on empty queue")
-        h = self._heap[0]
-        return self._keys[h], self._payloads[h]
-
     # -- plain operations -------------------------------------------------
 
     def insert(self, key, payload=None) -> int:

@@ -108,7 +108,11 @@ def test_random_sequence_against_dict_oracle():
     oracle = {}
     for _ in range(10 ** 4):
         x = rng.randrange(cap)
-        if rng.random() < 0.5:
+        r = rng.random()
+        if r < 0.01:
+            a.reset()
+            oracle.clear()
+        elif r < 0.5:
             v = rng.randint(-1000, 1000)
             a.write(x, v)
             oracle[x] = v
@@ -133,6 +137,19 @@ def test_property_matches_dict(seed, ops):
             assert a.read(x) == oracle.get(x)
     for x in range(32):
         assert a.read(x) == oracle.get(x)
+
+
+def test_reset_costs_one_step_and_allocates_nothing():
+    c = StepCounter()
+    a = LazyArray(1000, c)
+    for x in range(0, 1000, 7):
+        a.write(x, x)
+    before = c.total
+    a.reset()
+    assert c.total - before == 1
+    assert a.written_count == 0
+    assert not any(a.is_written(x) for x in range(1000))
+    assert (c.lazy_alloc_count, c.lazy_live_cells) == (1, 1000)
 
 
 def test_release_idempotent_and_space_accounting():

@@ -246,7 +246,7 @@ class NoSelfApsdEnumerator(Enumerator):
                 continue
             if search is None and pending:
                 self.counter.total += 1
-                search = self._make_search(pending.popleft(), arrays)
+                search = self._search(pending.popleft(), arrays)
                 yield
                 continue
             if search is not None:
@@ -323,12 +323,12 @@ class NoSelfApsdEnumerator(Enumerator):
                 c.total += 1
                 yield
 
-    def _make_search(self, s, arrays):
+    def _search(self, s, arrays):
+        # The cursor already emitted s's distance-1 pairs (unweighted)
+        # or its cheapest arc's head (weighted); the search skips them.
         if not self.graph.weighted:
-            return row_search(self, s, arrays, skip_le=1)
-        return self._weighted_search(s, arrays)
-
-    def _weighted_search(self, s, arrays):
+            yield from row_search(self, s, arrays, skip_le=1)
+            return
         t = self._tmin.read(s)
         yield
         yield from row_search(self, s, arrays, skip_le=0, skip_target=t)

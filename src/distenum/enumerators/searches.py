@@ -34,10 +34,8 @@ def search(enum, s: int, arrays, emit, *, skip_le: int = -1,
            backoff: bool = True):
     """The graph's search from s on arrays, then the optional sweep.
 
-    skip_le suppresses emissions with distance <= skip_le (-1 emits all,
-    0 drops the self pair, 1 additionally drops direct neighbors; a
-    weighted search only honors the self-pair part).  skip_target drops
-    one further target.
+    skip_le is bfs_search's; a weighted search reads any skip_le >= 0 as
+    dropping the self pair only, plus the one target skip_target.
     """
     if enum.graph.weighted:
         yield from dijkstra_search(enum, s, *arrays, emit,

@@ -1,7 +1,10 @@
 """Globally distance-sorted all-pairs enumeration.
 
 One search instance per source runs lazily; a driver interleaves them so
-the merged stream comes out in non-decreasing distance order.
+the merged stream comes out in non-decreasing distance order.  An
+instance is the shared BFS or Dijkstra core from searches.py, run with
+its queue back-off off and an emit that parks each visit in the
+instance until the driver takes it.
 
 Unweighted driver: a FIFO pool.  Hop distances make every live
 instance's next production either the level being emitted or the next
@@ -19,8 +22,9 @@ Unreachable pairs carry the largest distance and close the stream.
 Rows of vertices that never got an instance are emitted directly; the
 rest come from connected components (undirected, constant work per
 pair) or from per-instance sweeps gated on a full-reach check
-(directed).  Space is quadratic: every instance keeps its distance
-array alive so the closing phase can read it.
+(directed), where an instance whose distance array holds all n cells
+reached everything and is skipped.  Space is quadratic: every instance
+keeps its distance array alive so the closing phase can read it.
 """
 from __future__ import annotations
 
@@ -296,43 +300,31 @@ class SortedNoSelfApsdEnumerator(_SortedBase):
         self._sched = None
 
     def _preprocess(self):
+        # A vertex with no non-loop arc produces nothing: treat it like
+        # an isolated one and fan its row out directly.  Weighted setup
+        # fits the preprocessing allowance, so arrays, instances and the
+        # scheduler heap are built here; unweighted instances wait for
+        # the distance-1 cursor to bank their setup cost.
         g, c = self.graph, self.counter
-        n = g.n
-        if not g.weighted:
-            dmax = 0
-            for v in range(n):
-                c.total += 1
-                deg = g.degree(v)
-                if deg > dmax:
-                    dmax = deg
-                # A vertex with no non-loop arc produces nothing: treat
-                # it like an isolated one and fan its row out directly.
-                if has_out_arc(g, c, v):
-                    self._sources.append(v)
-                else:
-                    self._fans.append(v)
-            self._dmax_seen = dmax
-            return
-        # Weighted: the whole setup fits the preprocessing allowance,
-        # so arrays, instances and the scheduler heap are built here.
         dmax = 0
         entries = []
-        for v in range(n):
+        for v in range(g.n):
             c.total += 1
-            deg = g.degree(v)
-            if deg > dmax:
-                dmax = deg
+            dmax = max(dmax, g.degree(v))
+            if not g.weighted:
+                (self._sources if has_out_arc(g, c, v)
+                 else self._fans).append(v)
+                continue
             best, _ = _drain(cheapest_out_arc(g, c, v))
             if best is None:
                 self._fans.append(v)
                 continue
-            inst = self._new_instance(v, 0)
+            entries.append((best, self._new_instance(v, 0)))
             c.total += 1
-            entries.append((best, inst))
         self._dmax_seen = dmax
-        sched = AddressablePQ(c)
-        sched.build(entries)
-        self._sched = sched
+        if g.weighted:
+            self._sched = AddressablePQ(c)
+            self._sched.build(entries)
 
     def _make_machine(self):
         return self._run()

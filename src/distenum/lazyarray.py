@@ -16,12 +16,10 @@ capacity, every read or write costs one counted step.  Live cell counts
 are tracked on the StepCounter for space reporting; release() retires
 the array's cells from the live total.
 
-reset() forgets every written cell by setting written_count to zero, the
-O(1) clear of Briggs & Torczon's sparse set ("An efficient
-representation for sparse sets", 1993): stale pointers fail the same
-back-pointer test as garbage.  It costs one counted step, as allocation
-does, so reusing an array in place of a fresh one leaves step counts
-unchanged and only the live-cell total drops.
+reset() zeroes written_count, the O(1) clear of Briggs & Torczon's
+sparse set (1993): stale pointers then fail the back-pointer test like
+garbage.  It costs one counted step, as allocation does, so reusing an
+array in place of a fresh one changes no step count.
 """
 from __future__ import annotations
 

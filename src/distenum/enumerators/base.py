@@ -143,9 +143,11 @@ class Enumerator:
                 # whole doubled budget, which would inflate the observed
                 # delay far past twice the plain run's whenever a filtered
                 # stretch lands in a single pull.  A thin queue suspends
-                # the pacing, so low-bank stretches burn like a plain run.
+                # the pacing, so low-bank stretches burn like a plain run;
+                # thin means too little to cover a run of filtered visits,
+                # each of which can cost about 2 * dmax steps.
                 if paced and self._produced_in_pull >= 2 \
-                        and len(self.q) >= self.low_water:
+                        and len(self.q) >= 2 * (self._dmax_seen + 1):
                     break
         if self.q:
             counter.total += 1

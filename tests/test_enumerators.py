@@ -189,6 +189,17 @@ def test_dedup_counts_and_budget(corpus, corpus_matrices):
             assert v is None, (tag, mode, v)
 
 
+@pytest.mark.parametrize("mode", [OutputMode(), OutputMode(no_self=True)],
+                         ids=["plain", "no_self"])
+def test_dedup_clique_path_drains(mode):
+    # Each filtered clique visit costs about 2 * dmax steps and banks
+    # nothing, so a paced pull must stop with that much in reserve.
+    g = gen_clique_path(16)
+    _, plain = metered_run(g, mode)
+    _, rep = assert_valid_run(g, brute_force_matrix(g), mode, dedup=True)
+    assert rep.max_delay <= 2 * plain.max_delay + 64
+
+
 def test_dedup_rejected_on_directed():
     g = from_edge_list(2, [(0, 1)], True)
     with pytest.raises(ValueError):

@@ -9,7 +9,9 @@ usage and input errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
+import os
 import random
 import sys
 
@@ -37,6 +39,17 @@ def _write_text(text: str, path: str | None) -> None:
         return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def _at_least(minimum: int):
+    """argparse type: an int no smaller than minimum (else exit 2)."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+    return count
 
 
 def _fmt_distance(d) -> str:
@@ -98,12 +111,8 @@ def cmd_enumerate(args) -> int:
             print(t.source, t.target, _fmt_distance(t.distance))
         sys.stderr.write(report.to_kv())
         return 0
-    emitted = 0
-    for t in enum:
+    for t in itertools.islice(enum, args.limit):
         print(t.source, t.target, _fmt_distance(t.distance))
-        emitted += 1
-        if args.limit is not None and emitted >= args.limit:
-            break
     return 0
 
 
@@ -229,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="print the distance stream")
     p.add_argument("graph", help="graph file, or - for stdin")
     _add_mode_flags(p)
-    p.add_argument("--limit", type=int, default=None,
+    p.add_argument("--limit", type=_at_least(0), default=None,
                    help="stop after this many triples")
     p.add_argument("--report", action="store_true",
                    help="print delay statistics to stderr")
@@ -251,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated sizes (k for clique-path, n "
                         "otherwise)")
     _add_mode_flags(p)
-    p.add_argument("--repeats", type=int, default=1,
+    p.add_argument("--repeats", type=_at_least(1), default=1,
                    help="metered runs per size; the row reports the worst")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--directed", action="store_true",
@@ -274,7 +283,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # The reader closed the pipe (say, `| head`): nothing is left to
+        # say.  Point stdout at devnull so the interpreter's closing flush
+        # cannot fail again, as the Python docs advise under SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ScheduleUnderflow as exc:
         print(f"schedule underflow: {exc}", file=sys.stderr)
         return 1

@@ -1,9 +1,14 @@
 """End-to-end CLI runs, in process via main(argv)."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from distenum import parse_graph
+import distenum
+from distenum import format_graph, gen_random, parse_graph
 from distenum.cli import main
 from distenum.oracle import format_bool_matrix, parse_bool_matrix
 
@@ -109,6 +114,37 @@ def test_enumerate_limit_and_report(path_file, capsys):
     assert rc == 0 and len(stream_lines(out)) == 2
     rc, out, err = run(capsys, "enumerate", str(path_file), "--report")
     assert rc == 0 and "max_delay=" in err
+
+
+def test_enumerate_limit_zero_prints_nothing(path_file, capsys):
+    rc, out, _ = run(capsys, "enumerate", str(path_file), "--limit", "0")
+    assert rc == 0 and out == ""
+
+
+def test_negative_counts_are_usage_errors(path_file, capsys):
+    for argv in (["enumerate", str(path_file), "--limit", "-2"],
+                 ["bench", "clique-path", "--sizes", "4", "--repeats", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "must be at least" in capsys.readouterr().err
+
+
+def test_enumerate_closed_pipe_ends_quietly(tmp_path):
+    # The stream is far larger than the pipe's buffer, so the child is
+    # still writing when the reader goes away, as under `| head -1`.
+    p = tmp_path / "r.graph"
+    p.write_text(format_graph(gen_random(300, 1200, seed=1)))
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(distenum.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "distenum.cli", "enumerate", str(p)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().split() == [b"0", b"0", b"0"]
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_enumerate_invalid_source(path_file, capsys):

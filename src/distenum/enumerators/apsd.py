@@ -19,7 +19,8 @@ from collections import deque
 
 from .base import (Enumerator, IDLE, OutputMode, base_avg_degree,
                    base_max_degree)
-from .searches import cheapest_out_arc, fan_row, has_out_arc, row_search
+from .searches import (cheapest_out_arc, fan_row, has_out_arc, reuse_arrays,
+                       search)
 from ..lazyarray import LazyArray
 
 
@@ -86,7 +87,10 @@ class RowSearchEnumerator(Enumerator):
         for s in sources:
             while len(self.q) >= self.qcap:
                 yield IDLE
-            yield from row_search(self, s, arrays, skip_le=skip, sweep=sweep)
+            reuse_arrays(self, arrays)
+            yield
+            yield from search(self, s, arrays, self._emit, skip_le=skip,
+                              sweep=sweep)
 
     def _refresh_budget(self):
         self._budget_cached = self._budget_max_degree(
@@ -143,7 +147,9 @@ class UnconstrainedApsdEnumerator(Enumerator):
         for s in sources:
             while len(self.q) >= self.qcap:
                 yield IDLE
-            yield from row_search(self, s, arrays, skip_le=0)
+            reuse_arrays(self, arrays)
+            yield
+            yield from search(self, s, arrays, self._emit, skip_le=0)
 
     def _after_emit(self):
         if self.phase == "head" and self.emitted >= self.graph.n // 2:
@@ -326,12 +332,14 @@ class NoSelfApsdEnumerator(Enumerator):
     def _search(self, s, arrays):
         # The cursor already emitted s's distance-1 pairs (unweighted)
         # or its cheapest arc's head (weighted); the search skips them.
-        if not self.graph.weighted:
-            yield from row_search(self, s, arrays, skip_le=1)
-            return
-        t = self._tmin.read(s)
+        skip_le, t = 1, None
+        if self.graph.weighted:
+            skip_le, t = 0, self._tmin.read(s)
+            yield
+        reuse_arrays(self, arrays)
         yield
-        yield from row_search(self, s, arrays, skip_le=0, skip_target=t)
+        yield from search(self, s, arrays, self._emit, skip_le=skip_le,
+                          skip_target=t)
 
     def _refresh_budget(self):
         self._budget_cached = self._budget_avg_degree(

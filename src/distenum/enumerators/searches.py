@@ -1,17 +1,17 @@
 """Instrumented searches and row scans: the only BFS and Dijkstra loops.
 
-bfs_search and dijkstra_search are generators that yield once per
-handful of counted steps, so a pull can stop them mid-flight with
-bounded overshoot.  Each hands its visits to an emit(s, v, d) callable,
-breadth-first in hop order or best-first in weight order: linear
+bfs_search and dijkstra_search yield once per handful of counted steps,
+so a pull can stop them mid-flight with bounded overshoot.  They hand
+visits, in hop or weight order, to an emit(s, v, d) callable: linear
 machines pass the enumerator's _emit, which banks the triple in the
-solution queue, and a sorted pool instance passes one that parks it for
-the pool's driver.  Unless told otherwise, a search backs off (yields
-IDLE) between visits while the solution queue is at capacity, so banked
-output stays linear in n.  row_search runs one search per source on a
-single array set that its caller keeps for the whole run and resets per
-source.  The scans after the searches each serve several machines and
-charge the same steps at the same yield points for all of them.
+solution queue; a sorted pool instance passes one that parks it for the
+pool's driver.  Unless told otherwise a search backs off (yields IDLE)
+between visits while the queue is at capacity, so banked output stays
+linear in n, and closes with a sweep that reports unreached targets at
+infinite distance.  Sequential machines run one search at a time and
+keep one array set for the whole run, reset per source (reuse_arrays).
+The scans below the searches each serve several machines and charge
+the same steps at the same yield points for all of them.
 """
 from __future__ import annotations
 
@@ -29,43 +29,36 @@ def search_arrays(enum) -> list[LazyArray]:
             for _ in range(3 if g.weighted else 1)]
 
 
-def search(enum, s: int, arrays, emit, *, skip_le: int = -1,
-           skip_target: int | None = None, sweep: bool = True,
-           backoff: bool = True):
-    """The graph's search from s on arrays, then the optional sweep.
+def reuse_arrays(enum, arrays: list) -> None:
+    """Fill the caller's empty array set, or reset it for the next search.
 
-    skip_le is bfs_search's; a weighted search reads any skip_le >= 0 as
-    dropping the self pair only, plus the one target skip_target.
-    """
-    if enum.graph.weighted:
-        yield from dijkstra_search(enum, s, *arrays, emit,
-                                   skip_self=skip_le >= 0,
-                                   skip_target=skip_target, backoff=backoff)
-    else:
-        yield from bfs_search(enum, s, arrays[0], emit, skip_le=skip_le,
-                              backoff=backoff)
-    if sweep:
-        yield from sweep_unreached(enum, s, arrays[0])
-
-
-def row_search(enum, s: int, arrays: list, **kw):
-    """search() into enum's queue on the caller's reusable array set.
-
-    The set starts as an empty list; the first call fills it, later
-    calls reset it.  Sequential all-pairs machines run one search at a
-    time, so one set serves the whole run.
+    Either way costs one counted step per array.
     """
     if arrays:
         for arr in arrays:
             arr.reset()
     else:
         arrays.extend(search_arrays(enum))
-    yield
-    yield from search(enum, s, arrays, enum._emit, **kw)
+
+
+def search(enum, s: int, arrays, emit, *, skip_le: int = -1,
+           skip_target: int | None = None, sweep: bool = True,
+           backoff: bool = True):
+    """The graph's search from s on arrays: BFS or Dijkstra.
+
+    skip_le is bfs_search's; a weighted search reads any skip_le >= 0 as
+    dropping the self pair only, plus the one target skip_target.
+    """
+    if enum.graph.weighted:
+        return dijkstra_search(enum, s, *arrays, emit, skip_self=skip_le >= 0,
+                               skip_target=skip_target, sweep=sweep,
+                               backoff=backoff)
+    return bfs_search(enum, s, arrays[0], emit, skip_le=skip_le, sweep=sweep,
+                      backoff=backoff)
 
 
 def bfs_search(enum, s: int, dist: LazyArray, emit, *, skip_le: int = -1,
-               backoff: bool = True):
+               sweep: bool = True, backoff: bool = True):
     """Breadth-first search from s, emitting visits with hop distance.
 
     skip_le suppresses emissions with distance <= skip_le (-1 emits all,
@@ -98,11 +91,14 @@ def bfs_search(enum, s: int, dist: LazyArray, emit, *, skip_le: int = -1,
         if dv > skip_le:
             emit(s, v, dv)
         yield
+    if sweep:
+        yield from sweep_unreached(enum, s, dist)
 
 
 def dijkstra_search(enum, s: int, dist: LazyArray, settled: LazyArray,
                     handles: LazyArray, emit, *, skip_self: bool = False,
-                    skip_target: int | None = None, backoff: bool = True):
+                    skip_target: int | None = None, sweep: bool = True,
+                    backoff: bool = True):
     """Best-first search from s, emitting settles in distance order."""
     g = enum.graph
     counter = enum.counter
@@ -138,6 +134,8 @@ def dijkstra_search(enum, s: int, dist: LazyArray, settled: LazyArray,
         if (v != s or not skip_self) and v != skip_target:
             emit(s, v, d)
         yield
+    if sweep:
+        yield from sweep_unreached(enum, s, dist)
 
 
 def sweep_unreached(enum, s: int, dist: LazyArray):
@@ -166,10 +164,9 @@ def fan_row(enum, s: int):
 
 def has_out_arc(g, counter, v: int) -> bool:
     """True when v has a non-loop arc; one counted step per arc examined."""
-    targets = g.targets
     for i in range(g.offsets[v], g.offsets[v + 1]):
         counter.total += 1
-        if targets[i] != v:
+        if g.targets[i] != v:
             return True
     return False
 

@@ -34,7 +34,7 @@ from .base import Enumerator, INFINITE, IDLE, OutputMode, base_max_degree
 from .searches import (cheapest_out_arc, fan_row, has_out_arc, search,
                        search_arrays, sweep_unreached)
 from ..lazyarray import LazyArray
-from ..pq import AddressablePQ, _drain
+from ..pq import AddressablePQ, drain
 
 
 class _Instance:
@@ -204,15 +204,12 @@ class _SortedBase(Enumerator):
     def _inf_directed(self):
         # No component shortcut under direction; sweep each incomplete
         # instance's distance array and skip the fully reaching ones.
-        g, c = self.graph, self.counter
-        n = g.n
+        c, n = self.counter, self.graph.n
         for inst in self._instances:
             c.total += 1
-            if inst.dist.written_count >= n:
-                yield
-                continue
             yield
-            yield from sweep_unreached(self, inst.s, inst.dist)
+            if inst.dist.written_count < n:
+                yield from sweep_unreached(self, inst.s, inst.dist)
 
 
 class SortedApsdEnumerator(_SortedBase):
@@ -315,7 +312,7 @@ class SortedNoSelfApsdEnumerator(_SortedBase):
                 (self._sources if has_out_arc(g, c, v)
                  else self._fans).append(v)
                 continue
-            best, _ = _drain(cheapest_out_arc(g, c, v))
+            best, _ = drain(cheapest_out_arc(g, c, v))
             if best is None:
                 self._fans.append(v)
                 continue

@@ -16,10 +16,9 @@ capacity, every read or write costs one counted step.  Live cell counts
 are tracked on the StepCounter for space reporting; release() retires
 the array's cells from the live total.
 
-reset() zeroes written_count, the O(1) clear of Briggs & Torczon's
-sparse set (1993): stale pointers then fail the back-pointer test like
-garbage.  It costs one counted step, as allocation does, so reusing an
-array in place of a fresh one changes no step count.
+reset() zeroes written_count, the O(1) clear of Briggs & Torczon's sparse
+set (1993), and costs one counted step, as allocation does: stale
+pointers then fail the back-pointer test like any garbage.
 """
 from __future__ import annotations
 

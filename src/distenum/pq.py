@@ -14,7 +14,8 @@ from __future__ import annotations
 from .metering import StepCounter
 
 
-def _drain(gen):
+def drain(gen):
+    """Run a generator to the end and return its return value."""
     while True:
         try:
             next(gen)
@@ -51,14 +52,14 @@ class AddressablePQ:
     # -- plain operations -------------------------------------------------
 
     def insert(self, key, payload=None) -> int:
-        return _drain(self.insert_g(key, payload))
+        return drain(self.insert_g(key, payload))
 
     def decrease_key(self, handle: int, key) -> None:
-        _drain(self.decrease_key_g(handle, key))
+        drain(self.decrease_key_g(handle, key))
 
     def extract_min(self):
         """Remove and return the minimal (key, payload), or None if empty."""
-        return _drain(self.extract_min_g())
+        return drain(self.extract_min_g())
 
     def build(self, items) -> list[int]:
         """Bulk-load (key, payload) pairs; linear comparison count."""
@@ -71,7 +72,7 @@ class AddressablePQ:
             self._heap.append(h)
             handles.append(h)
         for i in reversed(range(len(self._heap) // 2)):
-            _drain(self._sift_down_g(i))
+            drain(self._sift_down_g(i))
         return handles
 
     # -- generator operations (one yield per comparison) ------------------

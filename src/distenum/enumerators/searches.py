@@ -1,17 +1,15 @@
-"""Instrumented searches and row scans: the only BFS and Dijkstra loops.
+"""Instrumented searches and scans: the package's only graph traversals.
 
 bfs_search and dijkstra_search yield once per handful of counted steps,
 so a pull can stop them mid-flight with bounded overshoot.  They hand
 visits, in hop or weight order, to an emit(s, v, d) callable: linear
-machines pass the enumerator's _emit, which banks the triple in the
-solution queue; a sorted pool instance passes one that parks it for the
-pool's driver.  Unless told otherwise a search backs off (yields IDLE)
-between visits while the queue is at capacity, so banked output stays
-linear in n, and closes with a sweep that reports unreached targets at
-infinite distance.  Sequential machines run one search at a time and
-keep one array set for the whole run, reset per source (reuse_arrays).
-The scans below the searches each serve several machines and charge
-the same steps at the same yield points for all of them.
+machines pass the enumerator's _emit (bank in the solution queue), a
+sorted pool instance one that parks the triple for the pool's driver.
+Unless told otherwise a search backs off (yields IDLE) while the queue
+is at capacity, so banked output stays linear in n, and ends with a
+sweep that reports unreached targets.  Sequential machines keep one
+array set per run and reset it per source (reuse_arrays).  Each scan
+below serves several machines with the same steps and yield points.
 """
 from __future__ import annotations
 
@@ -30,10 +28,8 @@ def search_arrays(enum) -> list[LazyArray]:
 
 
 def reuse_arrays(enum, arrays: list) -> None:
-    """Fill the caller's empty array set, or reset it for the next search.
-
-    Either way costs one counted step per array.
-    """
+    """Fill the caller's empty array set, or reset it for the next search;
+    either way one counted step per array."""
     if arrays:
         for arr in arrays:
             arr.reset()
@@ -183,3 +179,36 @@ def cheapest_out_arc(g, counter, v: int):
             best_w, best_t = weights[i], t
         yield
     return best_w, best_t
+
+
+def components(g, counter):
+    """Label connected components breadth-first, yielding per step; return
+    (comp, comps): each vertex's component id, each component's members."""
+    offsets, targets = g.offsets, g.targets
+    comp = [-1] * g.n
+    comps: list[list[int]] = []
+    for v in range(g.n):
+        counter.total += 1
+        if comp[v] >= 0:
+            yield
+            continue
+        cid = len(comps)
+        comps.append([v])
+        comp[v] = cid
+        counter.total += 1
+        frontier = deque([v])
+        yield
+        while frontier:
+            counter.total += 1
+            u = frontier.popleft()
+            yield
+            for i in range(offsets[u], offsets[u + 1]):
+                counter.total += 1
+                w = targets[i]
+                if comp[w] < 0:
+                    comp[w] = cid
+                    comps[cid].append(w)
+                    counter.total += 1
+                    frontier.append(w)
+                yield
+    return comp, comps

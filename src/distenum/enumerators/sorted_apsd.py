@@ -2,9 +2,8 @@
 
 One search instance per source runs lazily; a driver interleaves them so
 the merged stream comes out in non-decreasing distance order.  An
-instance is the shared BFS or Dijkstra core from searches.py, run with
-its queue back-off off and an emit that parks each visit in the
-instance until the driver takes it.
+instance runs the shared search from searches.py without queue back-off,
+parking each visit until the driver takes it.
 
 Unweighted driver: a FIFO pool.  Hop distances make every live
 instance's next production either the level being emitted or the next
@@ -22,17 +21,17 @@ Unreachable pairs carry the largest distance and close the stream.
 Rows of vertices that never got an instance are emitted directly; the
 rest come from connected components (undirected, constant work per
 pair) or from per-instance sweeps gated on a full-reach check
-(directed), where an instance whose distance array holds all n cells
-reached everything and is skipped.  Space is quadratic: every instance
-keeps its distance array alive so the closing phase can read it.
+(directed; an instance whose distance array holds n cells is skipped).
+Space is quadratic: every instance keeps its distance array alive so
+the closing phase can read it.
 """
 from __future__ import annotations
 
 from collections import deque
 
 from .base import Enumerator, INFINITE, IDLE, OutputMode, base_max_degree
-from .searches import (cheapest_out_arc, fan_row, has_out_arc, search,
-                       search_arrays, sweep_unreached)
+from .searches import (cheapest_out_arc, components, fan_row, has_out_arc,
+                       search, search_arrays, sweep_unreached)
 from ..lazyarray import LazyArray
 from ..pq import AddressablePQ, drain
 
@@ -155,35 +154,8 @@ class _SortedBase(Enumerator):
         # A pair is unreachable exactly when its endpoints sit in
         # different connected components, so label components once and
         # emit cross pairs with constant work each.
-        g, c = self.graph, self.counter
-        n = g.n
-        offsets, targets = g.offsets, g.targets
-        comp = [-1] * n
-        comps: list[list[int]] = []
-        for v in range(n):
-            c.total += 1
-            if comp[v] >= 0:
-                yield
-                continue
-            cid = len(comps)
-            comps.append([v])
-            comp[v] = cid
-            c.total += 1
-            frontier = deque([v])
-            yield
-            while frontier:
-                c.total += 1
-                u = frontier.popleft()
-                yield
-                for i in range(offsets[u], offsets[u + 1]):
-                    c.total += 1
-                    w = targets[i]
-                    if comp[w] < 0:
-                        comp[w] = cid
-                        comps[cid].append(w)
-                        c.total += 1
-                        frontier.append(w)
-                    yield
+        c = self.counter
+        comp, comps = yield from components(self.graph, c)
         if len(comps) <= 1:
             return
         for inst in self._instances:

@@ -68,12 +68,11 @@ class RowSearchEnumerator(Enumerator):
         # non-loop arc, and a trailing run of empty rows would stall the
         # stream; one linear pass drops those sources for good.
         g, c = self.graph, self.counter
-        sources = []
+        self._sources = []
         for v in range(g.n):
             c.total += 1
             if has_out_arc(g, c, v):
-                sources.append(v)
-        self._sources = sources
+                self._sources.append(v)
 
     def _make_machine(self):
         return self._run_rows()

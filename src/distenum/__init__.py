@@ -7,16 +7,15 @@ outputs is bounded by a declared function of the graph's degree
 statistics; metering helpers measure and fit those delays.
 """
 from .bmm import bmm_multiply
-from .enumerators import (BudgetConfig, DistanceTriple, Enumerator, INFINITE,
+from .enumerators import (DistanceTriple, Enumerator, INFINITE,
                           NoSelfApsdEnumerator, OutputMode,
                           RowSearchEnumerator, ScheduleUnderflow,
                           SingleSourceEnumerator, SortedApsdEnumerator,
                           SortedNoSelfApsdEnumerator,
-                          UnconstrainedApsdEnumerator, all_pairs,
-                          make_enumerator, single_source)
+                          UnconstrainedApsdEnumerator, make_enumerator)
 from .graph import (Graph, GraphFormatError, from_edge_list, format_graph,
                     gen_bmm_graph, gen_clique_path, gen_isolated_plus_edge,
-                    gen_random, gen_star, load_graph, parse_graph, save_graph)
+                    gen_random, gen_star, load_graph, parse_graph)
 from .lazyarray import LazyArray
 from .metering import DelayReport, StepCounter, fit_bound, run_metered
 from .oracle import (DistanceMatrix, Violation, brute_force_matrix,
@@ -27,15 +26,15 @@ from .pq import AddressablePQ
 __version__ = "0.1.0"
 
 __all__ = [
-    "AddressablePQ", "BudgetConfig", "DelayReport", "DistanceMatrix",
-    "DistanceTriple", "Enumerator", "Graph", "GraphFormatError", "INFINITE",
-    "LazyArray", "NoSelfApsdEnumerator", "OutputMode", "RowSearchEnumerator",
+    "AddressablePQ", "DelayReport", "DistanceMatrix", "DistanceTriple",
+    "Enumerator", "Graph", "GraphFormatError", "INFINITE", "LazyArray",
+    "NoSelfApsdEnumerator", "OutputMode", "RowSearchEnumerator",
     "ScheduleUnderflow", "SingleSourceEnumerator", "SortedApsdEnumerator",
     "SortedNoSelfApsdEnumerator", "StepCounter", "UnconstrainedApsdEnumerator",
-    "Violation", "all_pairs", "bmm_multiply", "brute_force_matrix",
-    "direct_multiply", "fit_bound", "format_bool_matrix", "format_graph",
-    "from_edge_list", "gen_bmm_graph", "gen_clique_path",
-    "gen_isolated_plus_edge", "gen_random", "gen_star", "load_graph",
-    "make_enumerator", "parse_bool_matrix", "parse_graph", "run_metered",
-    "save_graph", "single_source", "validate", "__version__",
+    "Violation", "bmm_multiply", "brute_force_matrix", "direct_multiply",
+    "fit_bound", "format_bool_matrix", "format_graph", "from_edge_list",
+    "gen_bmm_graph", "gen_clique_path", "gen_isolated_plus_edge",
+    "gen_random", "gen_star", "load_graph", "make_enumerator",
+    "parse_bool_matrix", "parse_graph", "run_metered", "validate",
+    "__version__",
 ]

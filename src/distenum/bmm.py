@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .enumerators import single_source
+from .enumerators import OutputMode, make_enumerator
 from .graph import gen_bmm_graph
 
 
@@ -20,7 +20,8 @@ def bmm_multiply(a: Sequence[Sequence[int]],
     out = [[False] * d for _ in range(d)]
     lo, hi = 2 * d, 3 * d
     for i in range(d):
-        for _u, v, dist in single_source(g, i, reachable_only=True):
+        for _u, v, dist in make_enumerator(g, OutputMode(reachable_only=True),
+                                           source=i):
             if dist == 2 and lo <= v < hi:
                 out[i][v - lo] = True
     return out

@@ -20,7 +20,7 @@ from .enumerators import OutputMode, ScheduleUnderflow, make_enumerator
 from .graph import (GraphFormatError, format_graph, gen_clique_path,
                     gen_isolated_plus_edge, gen_random, gen_star, load_graph,
                     parse_graph)
-from .metering import run_metered
+from .metering import Meter, run_metered
 from .oracle import (brute_force_matrix, direct_multiply, format_bool_matrix,
                      parse_bool_matrix, validate)
 
@@ -105,14 +105,11 @@ def cmd_enumerate(args) -> int:
     g = _read_graph(args.graph)
     enum = make_enumerator(g, _mode_of(args), source=args.source,
                            dedup=args.dedup)
-    if args.report:
-        triples, report = run_metered(enum)
-        for t in triples:
-            print(t.source, t.target, _fmt_distance(t.distance))
-        sys.stderr.write(report.to_kv())
-        return 0
-    for t in itertools.islice(enum, args.limit):
+    meter = Meter(enum) if args.report else None
+    for t in itertools.islice(meter or enum, args.limit):
         print(t.source, t.target, _fmt_distance(t.distance))
+    if meter is not None:
+        sys.stderr.write(meter.report().to_kv())
     return 0
 
 
@@ -241,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=_at_least(0), default=None,
                    help="stop after this many triples")
     p.add_argument("--report", action="store_true",
-                   help="print delay statistics to stderr")
+                   help="print delay statistics of the pulls made "
+                        "to stderr after the stream")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="validate a stream against the "

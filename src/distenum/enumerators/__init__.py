@@ -1,23 +1,23 @@
 """Pull-based shortest-distance enumerators with instrumented delays."""
-from .base import (BudgetConfig, DEFAULT_BUDGETS, DistanceTriple, Enumerator,
-                   IDLE, INFINITE, OutputMode, ScheduleUnderflow)
+from .base import (DistanceTriple, Enumerator, IDLE, INFINITE, OutputMode,
+                   ScheduleUnderflow)
 from .sssd import SingleSourceEnumerator
 from .apsd import (NoSelfApsdEnumerator, RowSearchEnumerator,
                    UnconstrainedApsdEnumerator)
 from .sorted_apsd import SortedApsdEnumerator, SortedNoSelfApsdEnumerator
 
 __all__ = [
-    "BudgetConfig", "DEFAULT_BUDGETS", "DistanceTriple", "Enumerator",
-    "IDLE", "INFINITE", "OutputMode", "ScheduleUnderflow",
+    "DistanceTriple", "Enumerator", "IDLE", "INFINITE", "OutputMode",
+    "ScheduleUnderflow",
     "SingleSourceEnumerator", "RowSearchEnumerator",
     "UnconstrainedApsdEnumerator", "NoSelfApsdEnumerator",
     "SortedApsdEnumerator", "SortedNoSelfApsdEnumerator",
-    "make_enumerator", "single_source", "all_pairs",
+    "make_enumerator",
 ]
 
 
 def make_enumerator(graph, mode: OutputMode = OutputMode(), *, source=None,
-                    dedup: bool = False, counter=None, config=None):
+                    dedup: bool = False, counter=None):
     """Pick the machine for an output regime.
 
     source selects a single-source run (mode trims still apply); dedup
@@ -27,32 +27,18 @@ def make_enumerator(graph, mode: OutputMode = OutputMode(), *, source=None,
         if dedup:
             raise ValueError("dedup applies to pair streams, "
                              "not single-source runs")
-        return SingleSourceEnumerator(graph, source, mode, counter, config)
+        return SingleSourceEnumerator(graph, source, mode, counter)
     if mode.sorted:
         cls = SortedNoSelfApsdEnumerator if mode.no_self \
             else SortedApsdEnumerator
-        enum = cls(graph, mode, counter, config)
+        enum = cls(graph, mode, counter)
     elif mode.row_wise or mode.reachable_only:
-        enum = RowSearchEnumerator(graph, mode, counter, config)
+        enum = RowSearchEnumerator(graph, mode, counter)
     elif mode.no_self:
-        enum = NoSelfApsdEnumerator(graph, counter, config)
+        enum = NoSelfApsdEnumerator(graph, counter)
     else:
-        enum = UnconstrainedApsdEnumerator(graph, counter, config)
+        enum = UnconstrainedApsdEnumerator(graph, counter)
     if dedup:
         enum.enable_dedup()
     return enum
 
-
-def single_source(graph, source: int, *, no_self: bool = False,
-                  reachable_only: bool = False, counter=None, config=None):
-    mode = OutputMode(no_self=no_self, reachable_only=reachable_only)
-    return SingleSourceEnumerator(graph, source, mode, counter, config)
-
-
-def all_pairs(graph, *, row_wise: bool = False, no_self: bool = False,
-              reachable_only: bool = False, sorted: bool = False,
-              dedup: bool = False, counter=None, config=None):
-    mode = OutputMode(row_wise=row_wise, no_self=no_self,
-                      reachable_only=reachable_only, sorted=sorted)
-    return make_enumerator(graph, mode, dedup=dedup, counter=counter,
-                           config=config)

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from collections import deque
 
-from .base import (Enumerator, IDLE, OutputMode, base_avg_degree,
-                   base_max_degree)
+from .base import HEAD_BUDGET, Enumerator, IDLE, OutputMode, base_avg_degree
 from .searches import (cheapest_out_arc, fan_row, has_out_arc, reuse_arrays,
-                       search)
+                       search, unit_arcs)
 from ..lazyarray import LazyArray
 
 
@@ -50,9 +49,8 @@ def _balanced_order(seq):
 class RowSearchEnumerator(Enumerator):
     """Rows in source order; optional no-self and reachable-only trims."""
 
-    def __init__(self, graph, mode: OutputMode = OutputMode(),
-                 counter=None, config=None):
-        super().__init__(graph, counter, config)
+    def __init__(self, graph, mode: OutputMode = OutputMode(), counter=None):
+        super().__init__(graph, counter)
         if mode.sorted:
             raise ValueError("row searches cannot promise a globally "
                              "sorted stream")
@@ -74,10 +72,7 @@ class RowSearchEnumerator(Enumerator):
             if has_out_arc(g, c, v):
                 self._sources.append(v)
 
-    def _make_machine(self):
-        return self._run_rows()
-
-    def _run_rows(self):
+    def _run(self):
         sources = self._sources if self._sources is not None \
             else range(self.graph.n)
         skip = 0 if self.mode.no_self else -1
@@ -91,21 +86,14 @@ class RowSearchEnumerator(Enumerator):
             yield from search(self, s, arrays, self._emit, skip_le=skip,
                               sweep=sweep)
 
-    def _refresh_budget(self):
-        self._budget_cached = self._budget_max_degree(
-            self.config.per_max_degree, self.graph.weighted)
-
-    def bound_base(self):
-        return base_max_degree(self.graph)
-
 
 class UnconstrainedApsdEnumerator(Enumerator):
     """All n^2 pairs, order free; self pairs double as the head bank."""
 
     _dedup_paced = True
 
-    def __init__(self, graph, counter=None, config=None):
-        super().__init__(graph, counter, config)
+    def __init__(self, graph, counter=None):
+        super().__init__(graph, counter)
         self._degree_sum = None
         self.phase = "stream" if graph.n <= 2 else "head"
 
@@ -119,28 +107,19 @@ class UnconstrainedApsdEnumerator(Enumerator):
                 total += self.graph.degree(v)
             self._degree_sum = total
 
-    def _make_machine(self):
-        return self._run()
-
     def _run(self):
         g, c = self.graph, self.counter
         n = g.n
-        if self._degree_sum is None:
-            total = 0
-            for v in range(n):
-                c.total += 1
-                total += g.degree(v)
-                # banked as it accumulates: paced deduped pulls pop
-                # slowly enough that the head phase can end mid-loop
-                self._degree_sum = total
-                self._emit(v, v, 0)
-                yield
-            self._refresh_budget()
-        else:
-            for v in range(n):
-                c.total += 1
-                self._emit(v, v, 0)
-                yield
+        total = 0
+        for v in range(n):
+            c.total += 1
+            total += g.degree(v)
+            # banked as it accumulates: paced deduped pulls pop slowly
+            # enough that the head phase can end mid-loop
+            self._degree_sum = total
+            self._emit(v, v, 0)
+            yield
+        self._refresh_budget()
         sources = _balanced_order(range(n)) if self.dedup else range(n)
         arrays = []
         for s in sources:
@@ -150,18 +129,12 @@ class UnconstrainedApsdEnumerator(Enumerator):
             yield
             yield from search(self, s, arrays, self._emit, skip_le=0)
 
-    def _after_emit(self):
-        if self.phase == "head" and self.emitted >= self.graph.n // 2:
-            self.phase = "stream"
-            self._refresh_budget()
-
     def _refresh_budget(self):
         if self.phase == "head":
-            self._budget_cached = self.config.head * self._budget_scale
+            self._budget_cached = HEAD_BUDGET * self._budget_scale
             return
         assert self._degree_sum is not None, "degree sum not banked in time"
-        self._budget_cached = self._budget_avg_degree(
-            self.config.per_avg_degree, self._degree_sum, self.graph.weighted)
+        self._budget_cached = self._budget_avg_degree(self._degree_sum)
 
     def bound_base(self):
         return base_avg_degree(self.graph)
@@ -171,9 +144,11 @@ class NoSelfApsdEnumerator(Enumerator):
     """All n(n-1) non-self pairs, order free."""
 
     _dedup_paced = True
+    # The cursor runs whenever the queue holds fewer triples than this.
+    _refill_below = 4
 
-    def __init__(self, graph, counter=None, config=None):
-        super().__init__(graph, counter, config)
+    def __init__(self, graph, counter=None):
+        super().__init__(graph, counter)
         self.mode = OutputMode(no_self=True)
         self._pending = deque()
         self._degsum_budget = 0
@@ -226,16 +201,13 @@ class NoSelfApsdEnumerator(Enumerator):
         # filter never starves the cursor's early head-start items.
         return lambda v: self._rank[v]
 
-    def _make_machine(self):
-        return self._drive()
-
     def _cursor_order(self):
         # weighted runs already walk vertices by degree rank
         base = self._order if self._order is not None \
             else range(self.graph.n)
         return _balanced_order(base) if self.dedup else base
 
-    def _drive(self):
+    def _run(self):
         cursor = self._weighted_cursor() if self.graph.weighted \
             else self._unweighted_cursor()
         cursor_alive = True
@@ -243,7 +215,7 @@ class NoSelfApsdEnumerator(Enumerator):
         search = None
         arrays = []
         while True:
-            if cursor_alive and len(self.q) < self.low_water:
+            if cursor_alive and len(self.q) < self._refill_below:
                 try:
                     yield next(cursor)
                 except StopIteration:
@@ -269,11 +241,9 @@ class NoSelfApsdEnumerator(Enumerator):
             return
 
     def _unweighted_cursor(self):
-        g, c = self.graph, self.counter
-        n = g.n
-        offsets, targets = g.offsets, g.targets
+        c, offsets = self.counter, self.graph.offsets
         seen = 0
-        marks = None
+        marks = []
         for s in self._cursor_order():
             while len(self.q) >= self.qcap:
                 yield IDLE
@@ -283,23 +253,7 @@ class NoSelfApsdEnumerator(Enumerator):
             self._degsum_budget = seen
             self._refresh_budget()
             yield
-            out_arc = False
-            if deg > 0:
-                if marks is None:
-                    marks = LazyArray(n, c)
-                else:
-                    marks.reset()
-                yield
-            for i in range(offsets[s], offsets[s + 1]):
-                c.total += 1
-                t = targets[i]
-                if t != s:
-                    out_arc = True
-                    if marks.read(t) is None:
-                        marks.write(t, 1)
-                        self._emit(s, t, 1)
-                yield
-            if out_arc:
+            if deg > 0 and (yield from unit_arcs(self, s, marks)):
                 self._pending.append(s)
                 c.total += 1
                 yield
@@ -341,9 +295,7 @@ class NoSelfApsdEnumerator(Enumerator):
                           skip_target=t)
 
     def _refresh_budget(self):
-        self._budget_cached = self._budget_avg_degree(
-            self.config.per_avg_degree, self._degsum_budget,
-            self.graph.weighted)
+        self._budget_cached = self._budget_avg_degree(self._degsum_budget)
 
     def bound_base(self):
         return base_avg_degree(self.graph)

@@ -9,7 +9,9 @@ Unless told otherwise a search backs off (yields IDLE) while the queue
 is at capacity, so banked output stays linear in n, and ends with a
 sweep that reports unreached targets.  Sequential machines keep one
 array set per run and reset it per source (reuse_arrays).  Each scan
-below serves several machines with the same steps and yield points.
+below serves several machines with the same steps and yield points;
+unit_arcs is the unweighted cursors' distance-1 scan, which marks heads
+so parallel arcs give one pair.
 """
 from __future__ import annotations
 
@@ -156,6 +158,28 @@ def fan_row(enum, s: int):
         if t != s:
             enum._emit(s, t, INFINITE)
         yield
+
+
+def unit_arcs(enum, s: int, marks: list):
+    """Emit (s, t, 1) once per distinct non-loop head t of s, yielding per
+    arc; marks is the caller's reused array set.  Returns True when s has
+    a non-loop arc."""
+    g, counter = enum.graph, enum.counter
+    targets = g.targets
+    reuse_arrays(enum, marks)
+    seen = marks[0]
+    yield
+    out_arc = False
+    for i in range(g.offsets[s], g.offsets[s + 1]):
+        counter.total += 1
+        t = targets[i]
+        if t != s:
+            out_arc = True
+            if seen.read(t) is None:
+                seen.write(t, 1)
+                enum._emit(s, t, 1)
+        yield
+    return out_arc
 
 
 def has_out_arc(g, counter, v: int) -> bool:

@@ -29,10 +29,9 @@ from __future__ import annotations
 
 from collections import deque
 
-from .base import Enumerator, INFINITE, IDLE, OutputMode, base_max_degree
+from .base import PER_POOL_DEGREE, Enumerator, INFINITE, IDLE, OutputMode
 from .searches import (cheapest_out_arc, components, fan_row, has_out_arc,
-                       search, search_arrays, sweep_unreached)
-from ..lazyarray import LazyArray
+                       search, search_arrays, sweep_unreached, unit_arcs)
 from ..pq import AddressablePQ, drain
 
 
@@ -54,18 +53,13 @@ class _Instance:
 class _SortedBase(Enumerator):
     """Machinery shared by the sorted regimes."""
 
-    def __init__(self, graph, mode: OutputMode, counter=None, config=None):
-        super().__init__(graph, counter, config)
+    _per_degree = PER_POOL_DEGREE
+
+    def __init__(self, graph, mode: OutputMode, counter=None):
+        super().__init__(graph, counter)
         self.mode = mode
         self._instances: list[_Instance] = []
         self._fans: list[int] = []
-
-    def _refresh_budget(self):
-        self._budget_cached = self._budget_max_degree(
-            self.config.per_pool_degree, self.graph.weighted)
-
-    def bound_base(self):
-        return base_max_degree(self.graph)
 
     # -- per-source search instances --------------------------------------
 
@@ -189,8 +183,8 @@ class SortedApsdEnumerator(_SortedBase):
     """All n^2 pairs in globally non-decreasing distance order."""
 
     def __init__(self, graph, mode: OutputMode = OutputMode(sorted=True),
-                 counter=None, config=None):
-        super().__init__(graph, mode, counter, config)
+                 counter=None):
+        super().__init__(graph, mode, counter)
         self.phase = "stream" if graph.n <= 2 else "head"
 
     def _preprocess(self):
@@ -200,14 +194,6 @@ class SortedApsdEnumerator(_SortedBase):
                 self.counter.total += 1
                 dmax = max(dmax, self.graph.degree(v))
             self._dmax_seen = dmax
-
-    def _after_emit(self):
-        if self.phase == "head" and self.emitted >= self.graph.n // 2:
-            self.phase = "stream"
-            self._refresh_budget()
-
-    def _make_machine(self):
-        return self._run()
 
     def _run(self):
         g, c = self.graph, self.counter
@@ -264,8 +250,8 @@ class SortedNoSelfApsdEnumerator(_SortedBase):
 
     def __init__(self, graph, mode: OutputMode = OutputMode(sorted=True,
                                                             no_self=True),
-                 counter=None, config=None):
-        super().__init__(graph, mode, counter, config)
+                 counter=None):
+        super().__init__(graph, mode, counter)
         self._sources: list[int] = []
         self._sched = None
 
@@ -296,9 +282,6 @@ class SortedNoSelfApsdEnumerator(_SortedBase):
             self._sched = AddressablePQ(c)
             self._sched.build(entries)
 
-    def _make_machine(self):
-        return self._run()
-
     def _run(self):
         g = self.graph
         if g.weighted:
@@ -318,27 +301,12 @@ class SortedNoSelfApsdEnumerator(_SortedBase):
 
     def _edge_cursor(self):
         # Unit arcs are distance-1 pairs; they open the stream and bank
-        # enough output to fund instance setup.  Marks deduplicate
-        # parallel arcs.
-        g, c = self.graph, self.counter
-        n = g.n
-        offsets, targets = g.offsets, g.targets
-        marks = None
+        # enough output to fund instance setup.
+        marks = []
         for s in self._sources:
             while len(self.q) >= self.qcap:
                 yield IDLE
-            c.total += 1
-            if marks is None:
-                marks = LazyArray(n, c)
-            else:
-                marks.reset()
-            yield
-            for i in range(offsets[s], offsets[s + 1]):
-                c.total += 1
-                t = targets[i]
-                if t != s and marks.read(t) is None:
-                    marks.write(t, 1)
-                    self._emit(s, t, 1)
-                yield
-        if marks is not None:
-            marks.release()
+            self.counter.total += 1
+            yield from unit_arcs(self, s, marks)
+        for arr in marks:
+            arr.release()

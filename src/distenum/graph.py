@@ -14,6 +14,10 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 DEFAULT_WEIGHT_CAP_EXPONENT = 3
+# Largest vertex count accepted.  A safety check on outside input: the
+# CSR build allocates lists of n + 1 cells before reading an edge, so an
+# absurd header would otherwise end in MemoryError.
+MAX_VERTICES = 10 ** 7
 
 
 class GraphFormatError(ValueError):
@@ -89,10 +93,14 @@ def from_edge_list(n: int, edges: Sequence[tuple], directed: bool, *,
     """Build a Graph from (u, v) or (u, v, w) tuples.
 
     All edges must agree on the presence of a weight.  Weights must be
-    ints in [0, n ** weight_cap_exponent]; ids must be in [0, n).
+    ints in [0, n ** weight_cap_exponent]; ids must be in [0, n), and n
+    at most MAX_VERTICES.
     """
     if n < 0:
         raise GraphFormatError(f"vertex count must be non-negative, got {n}")
+    if n > MAX_VERTICES:
+        raise GraphFormatError(
+            f"vertex count {n} exceeds the cap of {MAX_VERTICES}")
     if weighted is None:
         weighted = bool(edges) and len(edges[0]) == 3
     cap = n ** weight_cap_exponent
@@ -222,11 +230,6 @@ def parse_graph(text: str, *, weight_cap_exponent: int = DEFAULT_WEIGHT_CAP_EXPO
 def load_graph(path) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_graph(fh.read())
-
-
-def save_graph(g: Graph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_graph(g))
 
 
 # ---------------------------------------------------------------------------

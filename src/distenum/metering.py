@@ -6,9 +6,9 @@ pop, per lazy-array read/write, per heap comparison, and per iteration
 of a sweep loop.  The counter also tracks lazy-array cell allocation so
 reports can state peak concurrently-live cells.
 
-run_metered drives an enumerator to exhaustion, recording the counted
-steps of every pull.  Metering itself never touches the counter, so a
-report reflects exactly what the machine spent.
+A Meter records the counted steps of every pull it makes; run_metered
+drives one to the end of the stream.  Metering itself never touches the
+counter, so a report reflects exactly what the machine spent.
 """
 from __future__ import annotations
 
@@ -68,53 +68,65 @@ class DelayReport:
         return "\n".join(rows) + "\n"
 
 
-def run_metered(enum, *, keep_triples: bool = True):
-    """Drain an enumerator, returning (triples, DelayReport).
+class Meter:
+    """Iterate an enumerator's stream, recording the counted steps of each
+    pull; report() describes the pulls made so far, so a caller may stop
+    early.  The pull that detects end-of-stream counts as a pull.
+    Preprocessing (work the enumerator performs before its first delay
+    window) is measured separately and excluded from delays."""
 
-    The final pull that detects end-of-stream is included in the delay
-    figures.  Preprocessing (work the enumerator performs before its
-    first delay window) is measured separately and excluded from delays.
-    """
-    counter = enum.counter
-    t0 = time.perf_counter()
-    enum.prepare()
+    def __init__(self, enum):
+        self.enum = enum
+        self._t0 = time.perf_counter()
+        enum.prepare()
+        self.pulls = self.max_delay = self.total_delay = 0
+        self.per_phase: dict[str, int] = {}
+
+    def __iter__(self):
+        enum, counter, per_phase = self.enum, self.enum.counter, \
+            self.per_phase
+        while True:
+            phase = enum.phase
+            before = counter.total
+            triple = enum.pull()
+            delta = counter.total - before
+            self.pulls += 1
+            self.total_delay += delta
+            if delta > self.max_delay:
+                self.max_delay = delta
+            if delta > per_phase.get(phase, 0):
+                per_phase[phase] = delta
+            if triple is None:
+                return
+            yield triple
+
+    def report(self) -> DelayReport:
+        enum, pulls = self.enum, self.pulls
+        base = enum.bound_base()
+        return DelayReport(
+            pulls=pulls,
+            max_delay=self.max_delay,
+            mean_delay=Fraction(self.total_delay, pulls) if pulls
+            else Fraction(0),
+            per_phase_max=self.per_phase,
+            declared_bound_value=enum.declared_bound(),
+            fitted_constant=Fraction(self.max_delay) / base if base > 0
+            else None,
+            peak_queue=enum.peak_queue,
+            lazy_cells_allocated=enum.counter.lazy_peak_cells,
+            preprocessing_steps=enum.preprocessing_steps,
+            wall_time_s=time.perf_counter() - self._t0,
+        )
+
+
+def run_metered(enum, *, keep_triples: bool = True):
+    """Drain an enumerator through a Meter, returning (triples, DelayReport)."""
+    meter = Meter(enum)
     triples = []
-    pulls = 0
-    max_delay = 0
-    total_delay = 0
-    per_phase: dict[str, int] = {}
-    while True:
-        phase = enum.phase
-        before = counter.total
-        triple = enum.pull()
-        delta = counter.total - before
-        pulls += 1
-        total_delay += delta
-        if delta > max_delay:
-            max_delay = delta
-        prev = per_phase.get(phase, 0)
-        if delta > prev:
-            per_phase[phase] = delta
-        if triple is None:
-            break
+    for triple in meter:
         if keep_triples:
             triples.append(triple)
-    wall = time.perf_counter() - t0
-    base = enum.bound_base()
-    fitted = Fraction(max_delay) / base if base > 0 else None
-    report = DelayReport(
-        pulls=pulls,
-        max_delay=max_delay,
-        mean_delay=Fraction(total_delay, pulls) if pulls else Fraction(0),
-        per_phase_max=per_phase,
-        declared_bound_value=enum.declared_bound(),
-        fitted_constant=fitted,
-        peak_queue=enum.peak_queue,
-        lazy_cells_allocated=counter.lazy_peak_cells,
-        preprocessing_steps=enum.preprocessing_steps,
-        wall_time_s=wall,
-    )
-    return triples, report
+    return triples, meter.report()
 
 
 def fit_bound(max_delays, bases) -> Fraction:

@@ -4,8 +4,9 @@ The reference matrix is computed two independent ways: repeated plain
 searches (deque BFS / heapq Dijkstra, no shared code with the streaming
 machines) and all-pairs relaxation on a dense float matrix.  Tests
 cross-check the two; library callers get the relaxation method by
-default.  Unreachable pairs use math.inf, never a large finite stand-in;
-relaxation arithmetic saturates at inf naturally.
+default, wherever float64 holds every distance exactly.  Unreachable
+pairs use math.inf, never a large finite stand-in; relaxation
+arithmetic saturates at inf naturally.
 """
 from __future__ import annotations
 
@@ -93,8 +94,16 @@ def _matrix_by_relaxation(g: Graph) -> DistanceMatrix:
 
 
 def brute_force_matrix(g: Graph, method: str = "relaxation") -> DistanceMatrix:
-    """Reference all-pairs matrix; method is 'relaxation' or 'search'."""
+    """Reference all-pairs matrix; method is 'relaxation' or 'search'.
+
+    Relaxation works in float64, exact only below 2**53; when the total
+    arc weight, which bounds every finite distance, reaches that, the
+    search method answers instead.
+    """
     if method == "relaxation":
+        total = sum(g.weights) if g.weighted else g.arc_count
+        if total >= 2 ** 53:
+            return _matrix_by_search(g)
         return _matrix_by_relaxation(g)
     if method == "search":
         return _matrix_by_search(g)

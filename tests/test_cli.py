@@ -114,6 +114,21 @@ def test_enumerate_limit_and_report(path_file, capsys):
     assert rc == 0 and len(stream_lines(out)) == 2
     rc, out, err = run(capsys, "enumerate", str(path_file), "--report")
     assert rc == 0 and "max_delay=" in err
+    # the report streams too: it covers the pulls made, not the stream
+    rc, out, err = run(capsys, "enumerate", str(path_file), "--limit", "3",
+                       "--report")
+    assert rc == 0 and len(stream_lines(out)) == 3
+    assert "pulls=3\n" in err and "max_delay=" in err
+
+
+def test_enumerate_huge_header_is_input_error(tmp_path, capsys):
+    # The cap rejects the header before any allocation; without it the
+    # CSR build asks for 800 GB, which the allocator refuses at once.
+    p = tmp_path / "huge.graph"
+    p.write_text("100000000000 0 undirected unweighted\n")
+    rc, out, err = run(capsys, "enumerate", str(p))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: vertex count") and err.count("\n") == 1
 
 
 def test_enumerate_limit_zero_prints_nothing(path_file, capsys):

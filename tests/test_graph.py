@@ -2,10 +2,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distenum import (GraphFormatError, format_graph, from_edge_list,
                       gen_bmm_graph, gen_clique_path, gen_isolated_plus_edge,
                       gen_random, gen_star, parse_graph)
+from distenum.graph import MAX_VERTICES
 
 
 def check_csr(g):
@@ -126,6 +129,34 @@ def test_parse_comments_and_errors():
         parse_graph("3 1 undirected weighted\n0 1\n")
     with pytest.raises(GraphFormatError):
         parse_graph("3 1 undirected unweighted\n0 1 5\n")
+
+
+def _counts():
+    return st.integers(-3, 6) | st.integers(-10 ** 30, 10 ** 30)
+
+
+@st.composite
+def _graph_texts(draw):
+    """Header-shaped text: counts of any size, good and bad flags, edge
+    lines of numbers and junk, a matching or arbitrary edge count."""
+    token = _counts().map(str) | st.sampled_from(["x", "#", "1.5", ""])
+    rows = draw(st.lists(st.lists(token, max_size=4).map(" ".join),
+                         max_size=6))
+    m = draw(st.just(len(rows)) | _counts())
+    kind = draw(st.sampled_from(["directed", "undirected", "sideways"]))
+    weight = draw(st.sampled_from(["weighted", "unweighted", "heavy"]))
+    return "\n".join([f"{draw(_counts())} {m} {kind} {weight}"] + rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text() | _graph_texts())
+def test_parse_graph_fuzz(text):
+    try:
+        g = parse_graph(text)
+    except GraphFormatError:
+        return
+    assert g.n <= MAX_VERTICES
+    check_csr(g)
 
 
 def test_clique_path_shape():

@@ -11,7 +11,7 @@ from distenum.enumerators.base import Enumerator
 class NoOpEnumerator(Enumerator):
     """Produces nothing; any steps in its report come from the harness."""
 
-    def _make_machine(self):
+    def _run(self):
         return iter(())
 
     def _refresh_budget(self):

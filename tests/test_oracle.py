@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distenum import (DistanceTriple, OutputMode, bmm_multiply,
                       brute_force_matrix, direct_multiply, format_bool_matrix,
@@ -46,6 +48,26 @@ def test_matrix_invariants(corpus, corpus_matrices):
                     duv, duw, dwv = m.entry(u, v), m.entry(u, w), m.entry(w, v)
                     if duw < INF and dwv < INF:
                         assert duv <= duw + dwv, (tag, u, w, v)
+
+
+def test_relaxation_stays_exact_past_two_to_53():
+    g = from_edge_list(3, [(0, 1, 2 ** 53), (1, 2, 1)], True, weighted=True,
+                       weight_cap_exponent=60)
+    assert brute_force_matrix(g).entry(0, 2) == 2 ** 53 + 1
+    assert brute_force_matrix(g) == brute_force_matrix(g, "search")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text() | st.builds(
+    lambda d, rows: "\n".join([d] + rows),
+    st.integers(-2, 5).map(str) | st.text(max_size=4),
+    st.lists(st.text(alphabet="01x ", max_size=6), max_size=6)))
+def test_parse_bool_matrix_fuzz(text):
+    try:
+        m = parse_bool_matrix(text)
+    except ValueError:
+        return
+    assert all(len(row) == len(m) and set(row) <= {0, 1} for row in m)
 
 
 def unconstrained_stream(matrix, n):

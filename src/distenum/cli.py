@@ -52,10 +52,6 @@ def _at_least(minimum: int):
     return count
 
 
-def _fmt_distance(d) -> str:
-    return "inf" if d == math.inf else str(d)
-
-
 def _add_mode_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--source", type=int, default=None,
                    help="single-source run from this vertex")
@@ -101,13 +97,21 @@ def cmd_generate(args) -> int:
 
 # -- enumerate --------------------------------------------------------------
 
+# Triples formatted per stdout write.  Small, so the first line still
+# leaves as soon as the output buffer fills, not a long chunk later.
+WRITE_CHUNK = 512
+
+
 def cmd_enumerate(args) -> int:
     g = _read_graph(args.graph)
     enum = make_enumerator(g, _mode_of(args), source=args.source,
                            dedup=args.dedup)
     meter = Meter(enum) if args.report else None
-    for t in itertools.islice(meter or enum, args.limit):
-        print(t.source, t.target, _fmt_distance(t.distance))
+    stream = itertools.islice(meter or enum, args.limit)
+    write = sys.stdout.write
+    while chunk := list(itertools.islice(stream, WRITE_CHUNK)):
+        # str(math.inf) is "inf", the format's unreachable distance
+        write("".join([f"{s} {t} {d}\n" for s, t, d in chunk]))
     if meter is not None:
         sys.stderr.write(meter.report().to_kv())
     return 0

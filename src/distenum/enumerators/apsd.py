@@ -75,6 +75,7 @@ class RowSearchEnumerator(Enumerator):
     def _run(self):
         sources = self._sources if self._sources is not None \
             else range(self.graph.n)
+        c = self.counter
         skip = 0 if self.mode.no_self else -1
         sweep = not self.mode.reachable_only
         arrays = []
@@ -82,7 +83,8 @@ class RowSearchEnumerator(Enumerator):
             while len(self.q) >= self.qcap:
                 yield IDLE
             reuse_arrays(self, arrays)
-            yield
+            if c.total >= c.deadline:
+                yield
             yield from search(self, s, arrays, self._emit, skip_le=skip,
                               sweep=sweep)
 
@@ -118,15 +120,17 @@ class UnconstrainedApsdEnumerator(Enumerator):
             # enough that the head phase can end mid-loop
             self._degree_sum = total
             self._emit(v, v, 0)
-            yield
-        self._refresh_budget()
+            if c.total >= c.deadline:
+                yield
+        self._budget_moved()
         sources = _balanced_order(range(n)) if self.dedup else range(n)
         arrays = []
         for s in sources:
             while len(self.q) >= self.qcap:
                 yield IDLE
             reuse_arrays(self, arrays)
-            yield
+            if c.total >= c.deadline:
+                yield
             yield from search(self, s, arrays, self._emit, skip_le=0)
 
     def _refresh_budget(self):
@@ -144,6 +148,10 @@ class NoSelfApsdEnumerator(Enumerator):
     """All n(n-1) non-self pairs, order free."""
 
     _dedup_paced = True
+    # The machine picks cursor or search afresh at every instrumented
+    # step, from the queue length; its step-exact delays depend on
+    # making that choice at each step, so it suspends at each one.
+    _every_step = True
     # The cursor runs whenever the queue holds fewer triples than this.
     _refill_below = 4
 
@@ -210,6 +218,7 @@ class NoSelfApsdEnumerator(Enumerator):
     def _run(self):
         cursor = self._weighted_cursor() if self.graph.weighted \
             else self._unweighted_cursor()
+        c = self.counter
         cursor_alive = True
         pending = self._pending
         search = None
@@ -222,9 +231,10 @@ class NoSelfApsdEnumerator(Enumerator):
                     cursor_alive = False
                 continue
             if search is None and pending:
-                self.counter.total += 1
+                c.total += 1
                 search = self._search(pending.popleft(), arrays)
-                yield
+                if c.total >= c.deadline:
+                    yield
                 continue
             if search is not None:
                 try:
@@ -251,12 +261,14 @@ class NoSelfApsdEnumerator(Enumerator):
             deg = offsets[s + 1] - offsets[s]
             seen += deg
             self._degsum_budget = seen
-            self._refresh_budget()
-            yield
+            self._budget_moved()
+            if c.total >= c.deadline:
+                yield
             if deg > 0 and (yield from unit_arcs(self, s, marks)):
                 self._pending.append(s)
                 c.total += 1
-                yield
+                if c.total >= c.deadline:
+                    yield
             else:
                 # Only loops or nothing at all: the row is all
                 # unreachable and needs no search.
@@ -268,7 +280,8 @@ class NoSelfApsdEnumerator(Enumerator):
             while len(self.q) >= self.qcap:
                 yield IDLE
             c.total += 1
-            yield
+            if c.total >= c.deadline:
+                yield
             best_w, best_t = yield from cheapest_out_arc(g, c, s)
             if best_t is None:
                 # No way out of s: its whole row is unreachable.
@@ -280,17 +293,21 @@ class NoSelfApsdEnumerator(Enumerator):
                 self._emit(s, best_t, best_w)
                 self._pending.append(s)
                 c.total += 1
-                yield
+                if c.total >= c.deadline:
+                    yield
 
     def _search(self, s, arrays):
         # The cursor already emitted s's distance-1 pairs (unweighted)
         # or its cheapest arc's head (weighted); the search skips them.
+        c = self.counter
         skip_le, t = 1, None
         if self.graph.weighted:
             skip_le, t = 0, self._tmin.read(s)
-            yield
+            if c.total >= c.deadline:
+                yield
         reuse_arrays(self, arrays)
-        yield
+        if c.total >= c.deadline:
+            yield
         yield from search(self, s, arrays, self._emit, skip_le=skip_le,
                           skip_target=t)
 

@@ -1,19 +1,23 @@
 """Pull-driven enumeration with instrumented step budgets.
 
-An enumerator owns a machine (a generator that performs counted work and
-yields at every instrumented step) and a FIFO solution queue.  Each pull
-runs the machine until the current phase's step budget is spent, then
-pops one solution.  Machines bank solutions ahead of schedule in the
-queue; if a budget ever expires with nothing banked and the machine
-still running, the schedule's accounting is broken and pull raises
-ScheduleUnderflow.  A machine may yield IDLE when all its remaining work
-is production-capped (the queue is full enough); the pull then stops
-early, which can only shorten the observed delay.
+An enumerator owns a machine (a generator that performs counted work)
+and a FIFO solution queue.  Each pull runs the machine until the current
+phase's step budget is spent, then pops one solution.  The pull publishes
+its deadline (start plus budget) on the StepCounter; the machine checks
+it at every instrumented step and suspends only once it is reached, so a
+pull costs one generator resume and still stops at the exact step the
+budget runs out.  A budget that moves mid-pull moves the deadline too.
+Machines bank solutions ahead of schedule in the queue; if a budget
+ever expires with nothing banked and the machine still running, the
+schedule's accounting is broken and pull raises ScheduleUnderflow.  A
+machine may yield IDLE when all its remaining work is production-capped
+(the queue is full enough); the pull then stops early, which can only
+shorten the observed delay.
 
 Budgets are integers computed from degree statistics seen so far, so
 they are available to the machine itself and grow monotonically during
 a run.  declared_bound() is the final budget plus a small constant slop
-covering the worst charge between two machine yields plus the pop; every
+covering the worst charge between two deadline checks plus the pop; every
 pull's counted steps stay at or below it.
 """
 from __future__ import annotations
@@ -25,7 +29,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from ..graph import Graph
-from ..metering import StepCounter
+from ..metering import NEVER, StepCounter
 
 INFINITE = math.inf
 
@@ -62,7 +66,7 @@ HEAD_BUDGET = 12        # constant budget of a head-start phase
 PER_MAX_DEGREE = 8      # coefficient on (max degree seen + 1)
 PER_AVG_DEGREE = 16     # coefficient on (average degree + 1)
 PER_POOL_DEGREE = 12    # coefficient for the sorted instance pools
-SLOP = 8                # worst charge between two yields, plus the pop
+SLOP = 8                # worst charge between two checks, plus the pop
 
 
 def log2_ceil(n: int) -> int:
@@ -83,6 +87,9 @@ class Enumerator:
     _dedup_paced = False
     # Coefficient of the default, max-degree budget.
     _per_degree = PER_MAX_DEGREE
+    # Arm every pull's deadline at -1, so the machine suspends at every
+    # instrumented step instead of only at the budget's end.
+    _every_step = False
 
     def __init__(self, graph: Graph, counter: StepCounter | None = None):
         self.graph = graph
@@ -97,6 +104,9 @@ class Enumerator:
         self.qcap = max(16, 2 * graph.n)
         self._budget_scale = 1
         self._keep_key = None
+        self._paced = False
+        self._paced_stop = False
+        self._pull_start = None
         self._produced_in_pull = 0
         self._dmax_seen = 0
         self._budget_cached = 1
@@ -125,27 +135,27 @@ class Enumerator:
         counter = self.counter
         start = counter.total
         machine = self._machine
-        self._produced_in_pull = 0
-        paced = self._dedup_paced and self.dedup
         if machine is not None:
-            while counter.total - start < self._budget_cached:
-                try:
-                    if next(machine) is IDLE:
+            self._produced_in_pull = 0
+            self._paced_stop = False
+            self._pull_start = start
+            self._arm_deadline()
+            try:
+                while counter.total - start < self._budget_cached:
+                    try:
+                        if next(machine) is IDLE:
+                            break
+                    except StopIteration:
+                        self._machine = None
                         break
-                except StopIteration:
-                    self._machine = None
-                    break
-                # Paced machines fund two production slots per pull (one
-                # kept, one filtered on average) instead of burning the
-                # whole doubled budget, which would inflate the observed
-                # delay far past twice the plain run's whenever a filtered
-                # stretch lands in a single pull.  A thin queue suspends
-                # the pacing, so low-bank stretches burn like a plain run;
-                # thin means too little to cover a run of filtered visits,
-                # each of which can cost about 2 * dmax steps.
-                if paced and self._produced_in_pull >= 2 \
-                        and len(self.q) >= 2 * (self._dmax_seen + 1):
-                    break
+                    if self._paced_stop:
+                        break
+            finally:
+                # Between pulls nothing may suspend on this pull's
+                # deadline: not preprocessing drains, not another
+                # enumerator on the same counter.
+                counter.deadline = NEVER
+                self._pull_start = None
         if self.q:
             counter.total += 1
             triple = self.q.popleft()
@@ -186,7 +196,9 @@ class Enumerator:
         pass
 
     def _run(self):
-        """The machine: a generator of counted work, yielding per step."""
+        """The machine: a generator of counted work.  It checks the
+        counter's deadline at each instrumented step and suspends once the
+        deadline is reached (or to yield IDLE)."""
         raise NotImplementedError
 
     def _refresh_budget(self) -> None:
@@ -208,17 +220,42 @@ class Enumerator:
     def _emit(self, u: int, v: int, d) -> None:
         self._produced_in_pull += 1
         key = self._keep_key
-        if key is not None and key(u) > key(v):
-            return
-        self.counter.total += 1
-        self.q.append(DistanceTriple(u, v, d))
-        if len(self.q) > self.peak_queue:
-            self.peak_queue = len(self.q)
+        if key is None or key(u) <= key(v):
+            self.counter.total += 1
+            self.q.append(DistanceTriple(u, v, d))
+            if len(self.q) > self.peak_queue:
+                self.peak_queue = len(self.q)
+        # Paced machines fund two production slots per pull (one kept,
+        # one filtered on average) instead of burning the whole doubled
+        # budget, which would inflate the observed delay far past twice
+        # the plain run's whenever a filtered stretch lands in a single
+        # pull.  A thin queue suspends the pacing, so low-bank stretches
+        # burn like a plain run; thin means too little to cover a run of
+        # filtered visits, each of which can cost about 2 * dmax steps.
+        # Production is the only way the test can turn true, and every
+        # emission is followed by a suspension point, so the machine
+        # stops there and the pull ends.
+        if self._paced and self._produced_in_pull >= 2 \
+                and len(self.q) >= 2 * (self._dmax_seen + 1):
+            self._paced_stop = True
+            self.counter.deadline = -1
 
     def _see_degree(self, deg: int) -> None:
         if deg > self._dmax_seen:
             self._dmax_seen = deg
-            self._refresh_budget()
+            self._budget_moved()
+
+    def _budget_moved(self) -> None:
+        """Recompute the budget; mid-pull, move the deadline with it."""
+        self._refresh_budget()
+        if self._pull_start is not None:
+            self._arm_deadline()
+
+    def _arm_deadline(self) -> None:
+        if self._every_step or self._paced_stop:
+            self.counter.deadline = -1
+        else:
+            self.counter.deadline = self._pull_start + self._budget_cached
 
     def enable_dedup(self) -> None:
         """Keep one representative per unordered pair (undirected only).
@@ -232,6 +269,7 @@ class Enumerator:
         if self._prepared:
             raise RuntimeError("dedup must be enabled before the first pull")
         self.dedup = True
+        self._paced = self._dedup_paced
         self._keep_key = self._dedup_key_fn()
         self._budget_scale *= 2
         self._budget_cached *= 2

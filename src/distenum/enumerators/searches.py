@@ -1,15 +1,17 @@
 """Instrumented searches and scans: the package's only graph traversals.
 
-bfs_search and dijkstra_search yield once per handful of counted steps,
-so a pull can stop them mid-flight with bounded overshoot.  They hand
-visits, in hop or weight order, to an emit(s, v, d) callable: linear
-machines pass the enumerator's _emit (bank in the solution queue), a
-sorted pool instance one that parks the triple for the pool's driver.
+bfs_search and dijkstra_search check the counter's deadline once per
+handful of counted steps and suspend only when it is reached, so a pull
+can stop them mid-flight with bounded overshoot.  They hand visits, in
+hop or weight order, to an emit(s, v, d) callable: linear machines pass
+the enumerator's _emit (bank in the solution queue), a sorted pool
+instance one that parks the triple for the pool's driver and returns
+True, which suspends the search right after the visit.
 Unless told otherwise a search backs off (yields IDLE) while the queue
 is at capacity, so banked output stays linear in n, and ends with a
 sweep that reports unreached targets.  Sequential machines keep one
 array set per run and reset it per source (reuse_arrays).  Each scan
-below serves several machines with the same steps and yield points;
+below serves several machines with the same steps and suspension points;
 unit_arcs is the unweighted cursors' distance-1 scan, which marks heads
 so parallel arcs give one pair.
 """
@@ -68,7 +70,8 @@ def bfs_search(enum, s: int, dist: LazyArray, emit, *, skip_le: int = -1,
     dist.write(s, 0)
     counter.total += 1
     frontier = deque([s])
-    yield
+    if counter.total >= counter.deadline:
+        yield
     while frontier:
         while backoff and len(enum.q) >= enum.qcap:
             yield IDLE
@@ -76,7 +79,8 @@ def bfs_search(enum, s: int, dist: LazyArray, emit, *, skip_le: int = -1,
         v = frontier.popleft()
         dv = dist.read(v)
         enum._see_degree(offsets[v + 1] - offsets[v])
-        yield
+        if counter.total >= counter.deadline:
+            yield
         nd = dv + 1
         for i in range(offsets[v], offsets[v + 1]):
             counter.total += 1
@@ -85,10 +89,11 @@ def bfs_search(enum, s: int, dist: LazyArray, emit, *, skip_le: int = -1,
                 dist.write(w, nd)
                 counter.total += 1
                 frontier.append(w)
+            if counter.total >= counter.deadline:
+                yield
+        parked = dv > skip_le and emit(s, v, dv)
+        if parked or counter.total >= counter.deadline:
             yield
-        if dv > skip_le:
-            emit(s, v, dv)
-        yield
     if sweep:
         yield from sweep_unreached(enum, s, dist)
 
@@ -105,19 +110,22 @@ def dijkstra_search(enum, s: int, dist: LazyArray, settled: LazyArray,
     dist.write(s, 0)
     h = yield from pq.insert_g(0, s)
     handles.write(s, h)
-    yield
+    if counter.total >= counter.deadline:
+        yield
     while pq:
         while backoff and len(enum.q) >= enum.qcap:
             yield IDLE
         d, v = yield from pq.extract_min_g()
         settled.write(v, 1)
         enum._see_degree(offsets[v + 1] - offsets[v])
-        yield
+        if counter.total >= counter.deadline:
+            yield
         for i in range(offsets[v], offsets[v + 1]):
             counter.total += 1
             w = targets[i]
             if settled.read(w) is not None:
-                yield
+                if counter.total >= counter.deadline:
+                    yield
                 continue
             nd = d + weights[i]
             dw = dist.read(w)
@@ -128,10 +136,12 @@ def dijkstra_search(enum, s: int, dist: LazyArray, settled: LazyArray,
             elif nd < dw:
                 dist.write(w, nd)
                 yield from pq.decrease_key_g(handles.read(w), nd)
+            if counter.total >= counter.deadline:
+                yield
+        parked = (v != s or not skip_self) and v != skip_target \
+            and emit(s, v, d)
+        if parked or counter.total >= counter.deadline:
             yield
-        if (v != s or not skip_self) and v != skip_target:
-            emit(s, v, d)
-        yield
     if sweep:
         yield from sweep_unreached(enum, s, dist)
 
@@ -145,7 +155,8 @@ def sweep_unreached(enum, s: int, dist: LazyArray):
         counter.total += 1
         if dist.read(t) is None:
             enum._emit(s, t, INFINITE)
-        yield
+        if counter.total >= counter.deadline:
+            yield
 
 
 def fan_row(enum, s: int):
@@ -157,18 +168,20 @@ def fan_row(enum, s: int):
         counter.total += 1
         if t != s:
             enum._emit(s, t, INFINITE)
-        yield
+        if counter.total >= counter.deadline:
+            yield
 
 
 def unit_arcs(enum, s: int, marks: list):
-    """Emit (s, t, 1) once per distinct non-loop head t of s, yielding per
-    arc; marks is the caller's reused array set.  Returns True when s has
-    a non-loop arc."""
+    """Emit (s, t, 1) once per distinct non-loop head t of s, checking the
+    deadline per arc; marks is the caller's reused array set.  Returns
+    True when s has a non-loop arc."""
     g, counter = enum.graph, enum.counter
     targets = g.targets
     reuse_arrays(enum, marks)
     seen = marks[0]
-    yield
+    if counter.total >= counter.deadline:
+        yield
     out_arc = False
     for i in range(g.offsets[s], g.offsets[s + 1]):
         counter.total += 1
@@ -178,7 +191,8 @@ def unit_arcs(enum, s: int, marks: list):
             if seen.read(t) is None:
                 seen.write(t, 1)
                 enum._emit(s, t, 1)
-        yield
+        if counter.total >= counter.deadline:
+            yield
     return out_arc
 
 
@@ -192,8 +206,8 @@ def has_out_arc(g, counter, v: int) -> bool:
 
 
 def cheapest_out_arc(g, counter, v: int):
-    """Scan v's arcs, yielding after each; return (weight, head) of the
-    cheapest non-loop arc (first wins ties), or (None, None)."""
+    """Scan v's arcs, checking the deadline after each; return (weight,
+    head) of the cheapest non-loop arc (first wins ties), or (None, None)."""
     offsets, targets, weights = g.offsets, g.targets, g.weights
     best_w = best_t = None
     for i in range(offsets[v], offsets[v + 1]):
@@ -201,31 +215,36 @@ def cheapest_out_arc(g, counter, v: int):
         t = targets[i]
         if t != v and (best_w is None or weights[i] < best_w):
             best_w, best_t = weights[i], t
-        yield
+        if counter.total >= counter.deadline:
+            yield
     return best_w, best_t
 
 
 def components(g, counter):
-    """Label connected components breadth-first, yielding per step; return
-    (comp, comps): each vertex's component id, each component's members."""
+    """Label connected components breadth-first, checking the deadline per
+    step; return (comp, comps): each vertex's component id, each
+    component's members."""
     offsets, targets = g.offsets, g.targets
     comp = [-1] * g.n
     comps: list[list[int]] = []
     for v in range(g.n):
         counter.total += 1
         if comp[v] >= 0:
-            yield
+            if counter.total >= counter.deadline:
+                yield
             continue
         cid = len(comps)
         comps.append([v])
         comp[v] = cid
         counter.total += 1
         frontier = deque([v])
-        yield
+        if counter.total >= counter.deadline:
+            yield
         while frontier:
             counter.total += 1
             u = frontier.popleft()
-            yield
+            if counter.total >= counter.deadline:
+                yield
             for i in range(offsets[u], offsets[u + 1]):
                 counter.total += 1
                 w = targets[i]
@@ -234,5 +253,6 @@ def components(g, counter):
                     comps[cid].append(w)
                     counter.total += 1
                     frontier.append(w)
-                yield
+                if counter.total >= counter.deadline:
+                    yield
     return comp, comps

@@ -48,6 +48,7 @@ class _Instance:
 
     def __call__(self, s, v, d):
         self.pending = (s, v, d)
+        return True
 
 
 class _SortedBase(Enumerator):
@@ -65,8 +66,11 @@ class _SortedBase(Enumerator):
 
     def _new_instance(self, s, skip_le):
         # The pool's drivers watch the queue cap themselves, and _advance
-        # swallows yields, so an instance must never back off.  It is its
-        # own emit: a bound method per instance slowed setup by about 40%.
+        # does not forward IDLE, so an instance must never back off.  The
+        # search suspends after each parked visit (the instance's emit
+        # returns True) and otherwise only at the deadline, where _advance
+        # suspends the driver in turn.  The instance is its own emit: a
+        # bound method per instance slowed setup by about 40%.
         arrays = search_arrays(self)
         inst = _Instance(s, arrays[0])
         inst.gen = search(self, s, arrays, inst, skip_le=skip_le,
@@ -75,12 +79,14 @@ class _SortedBase(Enumerator):
         return inst
 
     def _advance(self, inst):
+        c = self.counter
         while inst.pending is None:
             try:
                 next(inst.gen)
             except StopIteration:
                 return False
-            yield
+            if c.total >= c.deadline:
+                yield
         return True
 
     # -- drivers -----------------------------------------------------------
@@ -96,23 +102,27 @@ class _SortedBase(Enumerator):
                 if not ok:
                     c.total += 1
                     pool.popleft()
-                    yield
+                    if c.total >= c.deadline:
+                        yield
                     continue
             u, v, d = inst.pending
             inst.pending = None
             c.total += 1
             self._emit(u, v, d)
-            yield
+            if c.total >= c.deadline:
+                yield
             ok = yield from self._advance(inst)
             if not ok:
                 c.total += 1
                 pool.popleft()
-                yield
+                if c.total >= c.deadline:
+                    yield
             elif inst.pending[2] != d:
                 c.total += 1
                 pool.popleft()
                 pool.append(inst)
-                yield
+                if c.total >= c.deadline:
+                    yield
 
     def _sched_loop(self, sched):
         c = self.counter
@@ -120,7 +130,8 @@ class _SortedBase(Enumerator):
             while len(self.q) >= self.qcap:
                 yield IDLE
             _key, inst = yield from sched.extract_min_g()
-            yield
+            if c.total >= c.deadline:
+                yield
             if inst.pending is None:
                 ok = yield from self._advance(inst)
                 if not ok:
@@ -129,11 +140,13 @@ class _SortedBase(Enumerator):
             inst.pending = None
             c.total += 1
             self._emit(u, v, d)
-            yield
+            if c.total >= c.deadline:
+                yield
             ok = yield from self._advance(inst)
             if ok:
                 yield from sched.insert_g(inst.pending[2], inst)
-                yield
+                if c.total >= c.deadline:
+                    yield
 
     # -- closing infinite phase -------------------------------------------
 
@@ -157,7 +170,8 @@ class _SortedBase(Enumerator):
             s = inst.s
             cs = comp[s]
             c.total += 1
-            yield
+            if c.total >= c.deadline:
+                yield
             for cid, bucket in enumerate(comps):
                 if cid == cs:
                     continue
@@ -166,7 +180,8 @@ class _SortedBase(Enumerator):
                         yield IDLE
                     c.total += 1
                     self._emit(s, t, INFINITE)
-                    yield
+                    if c.total >= c.deadline:
+                        yield
 
     def _inf_directed(self):
         # No component shortcut under direction; sweep each incomplete
@@ -174,7 +189,8 @@ class _SortedBase(Enumerator):
         c, n = self.counter, self.graph.n
         for inst in self._instances:
             c.total += 1
-            yield
+            if c.total >= c.deadline:
+                yield
             if inst.dist.written_count < n:
                 yield from sweep_unreached(self, inst.s, inst.dist)
 
@@ -205,9 +221,10 @@ class SortedApsdEnumerator(_SortedBase):
             if d > dmax:
                 dmax = d
             self._emit(v, v, 0)
-            yield
+            if c.total >= c.deadline:
+                yield
         self._dmax_seen = dmax
-        self._refresh_budget()
+        self._budget_moved()
         if g.weighted:
             yield from self._start_weighted()
         else:
@@ -222,7 +239,8 @@ class SortedApsdEnumerator(_SortedBase):
                     c.total += 1
                 else:
                     self._fans.append(v)
-                yield
+                if c.total >= c.deadline:
+                    yield
             yield from self._pool_loop(pool)
         if not self.mode.reachable_only:
             yield from self._inf_phase()
@@ -235,13 +253,16 @@ class SortedApsdEnumerator(_SortedBase):
             best, _ = yield from cheapest_out_arc(g, c, v)
             if best is None:
                 self._fans.append(v)
-                yield
+                if c.total >= c.deadline:
+                    yield
                 continue
             inst = self._new_instance(v, 0)
             c.total += 1
-            yield
+            if c.total >= c.deadline:
+                yield
             yield from sched.insert_g(best, inst)
-            yield
+            if c.total >= c.deadline:
+                yield
         yield from self._sched_loop(sched)
 
 
@@ -284,17 +305,18 @@ class SortedNoSelfApsdEnumerator(_SortedBase):
 
     def _run(self):
         g = self.graph
+        c = self.counter
         if g.weighted:
             yield from self._sched_loop(self._sched)
         else:
             yield from self._edge_cursor()
             pool = deque()
-            c = self.counter
             for s in self._sources:
                 c.total += 1
                 pool.append(self._new_instance(s, 1))
                 c.total += 1
-                yield
+                if c.total >= c.deadline:
+                    yield
             yield from self._pool_loop(pool)
         if not self.mode.reachable_only:
             yield from self._inf_phase()

@@ -52,14 +52,16 @@ class LazyArray:
         self.counter.record_alloc(capacity)
 
     def is_written(self, x: int) -> bool:
-        self._check(x)
+        if not 0 <= x < self.capacity:
+            raise self._range_error(x)
         self.counter.total += 1
         p = self._index[x]
         return 0 <= p < self.written_count and self._back[p] == x
 
     def read(self, x: int):
         """Return the stored value, or None if the cell was never written."""
-        self._check(x)
+        if not 0 <= x < self.capacity:
+            raise self._range_error(x)
         self.counter.total += 1
         p = self._index[x]
         if 0 <= p < self.written_count and self._back[p] == x:
@@ -67,7 +69,8 @@ class LazyArray:
         return None
 
     def write(self, x: int, value) -> None:
-        self._check(x)
+        if not 0 <= x < self.capacity:
+            raise self._range_error(x)
         self.counter.total += 1
         p = self._index[x]
         if 0 <= p < self.written_count and self._back[p] == x:
@@ -90,9 +93,8 @@ class LazyArray:
             self._released = True
             self.counter.record_release(self.capacity)
 
-    def _check(self, x: int) -> None:
-        if not 0 <= x < self.capacity:
-            raise IndexError(f"index {x} out of range for capacity {self.capacity}")
+    def _range_error(self, x: int) -> IndexError:
+        return IndexError(f"index {x} out of range for capacity {self.capacity}")
 
     def __len__(self) -> int:
         return self.capacity

@@ -6,22 +6,33 @@ pop, per lazy-array read/write, per heap comparison, and per iteration
 of a sweep loop.  The counter also tracks lazy-array cell allocation so
 reports can state peak concurrently-live cells.
 
+It also carries the deadline of the pull in progress: the step total
+at which the machine must suspend (-1 suspends it at its next check).
+A pull sets it to its start plus its budget and puts it back to NEVER
+when it ends, so work driven outside a pull (preprocessing, a plain
+heap operation) runs straight through its suspension points.
+
 A Meter records the counted steps of every pull it makes; run_metered
 drives one to the end of the stream.  Metering itself never touches the
 counter, so a report reflects exactly what the machine spent.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+NEVER = math.inf
+
 
 class StepCounter:
-    __slots__ = ("total", "lazy_live_cells", "lazy_peak_cells", "lazy_alloc_count")
+    __slots__ = ("total", "deadline", "lazy_live_cells", "lazy_peak_cells",
+                 "lazy_alloc_count")
 
     def __init__(self):
         self.total = 0
+        self.deadline = NEVER
         self.lazy_live_cells = 0
         self.lazy_peak_cells = 0
         self.lazy_alloc_count = 0

@@ -3,9 +3,10 @@
 Every insert returns a handle that stays valid until the entry is
 extracted.  Key ties break by insertion order (first inserted wins), so
 extraction order is deterministic.  Each key comparison charges one
-counted step; the generator variants of the operations additionally
-yield once per comparison so an enumerator machine can suspend inside a
-heap operation with step-exact budgets.  Extraction performs at most
+counted step.  The generator variants of the operations check the
+counter's deadline after every comparison and suspend only once it is
+reached, so an enumerator machine can stop inside a heap operation at
+the exact step its pull budget runs out.  Extraction performs at most
 2 * ceil(log2(size)) comparisons, insert and decrease_key at most
 ceil(log2(size)).
 """
@@ -75,7 +76,7 @@ class AddressablePQ:
             drain(self._sift_down_g(i))
         return handles
 
-    # -- generator operations (one yield per comparison) ------------------
+    # -- generator operations (deadline checked per comparison) -----------
 
     def insert_g(self, key, payload=None):
         h = self._new_entry(key, payload)
@@ -121,20 +122,17 @@ class AddressablePQ:
         if not 0 <= handle < len(self._keys) or self._pos[handle] < 0:
             raise ValueError(f"handle {handle} is not live")
 
-    def _less(self, ha: int, hb: int) -> bool:
-        self.counter.total += 1
-        ka, kb = self._keys[ha], self._keys[hb]
-        if ka != kb:
-            return ka < kb
-        return self._seqs[ha] < self._seqs[hb]
-
     def _sift_up_g(self, i: int):
-        heap, pos = self._heap, self._pos
+        heap, pos, keys, seqs = self._heap, self._pos, self._keys, self._seqs
+        c = self.counter
         while i > 0:
             parent = (i - 1) >> 1
             hp, hi = heap[parent], heap[i]
-            less = self._less(hi, hp)
-            yield
+            c.total += 1
+            ki, kp = keys[hi], keys[hp]
+            less = ki < kp if ki != kp else seqs[hi] < seqs[hp]
+            if c.total >= c.deadline:
+                yield
             if not less:
                 return
             heap[i], heap[parent] = hp, hi
@@ -142,7 +140,8 @@ class AddressablePQ:
             i = parent
 
     def _sift_down_g(self, i: int):
-        heap, pos = self._heap, self._pos
+        heap, pos, keys, seqs = self._heap, self._pos, self._keys, self._seqs
+        c = self.counter
         n = len(heap)
         while True:
             child = 2 * i + 1
@@ -150,15 +149,22 @@ class AddressablePQ:
                 return
             right = child + 1
             if right < n:
-                less = self._less(heap[right], heap[child])
-                yield
+                hr, hc = heap[right], heap[child]
+                c.total += 1
+                kr, kc = keys[hr], keys[hc]
+                less = kr < kc if kr != kc else seqs[hr] < seqs[hc]
+                if c.total >= c.deadline:
+                    yield
                 if less:
                     child = right
-            less = self._less(heap[child], heap[i])
-            yield
+            hc, hi = heap[child], heap[i]
+            c.total += 1
+            kc, ki = keys[hc], keys[hi]
+            less = kc < ki if kc != ki else seqs[hc] < seqs[hi]
+            if c.total >= c.deadline:
+                yield
             if not less:
                 return
-            hc, hi = heap[child], heap[i]
             heap[i], heap[child] = hc, hi
             pos[hc], pos[hi] = i, child
             i = child

@@ -2,6 +2,7 @@
 import itertools
 
 import pytest
+from hypothesis import strategies as st
 
 from distenum import (OutputMode, brute_force_matrix, from_edge_list,
                       gen_clique_path, gen_isolated_plus_edge, gen_random,
@@ -41,6 +42,26 @@ def small_corpus():
         ("rand-wu", gen_random(11, 20, directed=False, max_weight=9, seed=5)),
         ("rand-wd", gen_random(10, 22, directed=True, max_weight=6, seed=6)),
     ]
+
+
+def edge_list_graphs(draw):
+    """Hypothesis graph: 1 to 10 vertices, directed or not, weighted or
+    not (zero weights allowed), with loops, parallel arcs and isolated
+    vertices as they fall."""
+    n = draw(st.integers(1, 10))
+    directed = draw(st.booleans())
+    weighted = draw(st.booleans())
+    wmax = min(9, n ** 3)
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                  st.integers(0, wmax)),
+        max_size=25))
+    if not weighted:
+        edges = [(u, v) for u, v, _ in edges]
+    return from_edge_list(n, edges, directed, weighted=weighted)
+
+
+graphs = st.composite(edge_list_graphs)
 
 
 @pytest.fixture(scope="session")

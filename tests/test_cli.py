@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import distenum
-from distenum import format_graph, gen_random, parse_graph
+from distenum import (OutputMode, format_graph, gen_random, make_enumerator,
+                      parse_graph)
 from distenum.cli import main
 from distenum.oracle import format_bool_matrix, parse_bool_matrix
 
@@ -119,6 +120,25 @@ def test_enumerate_limit_and_report(path_file, capsys):
                        "--report")
     assert rc == 0 and len(stream_lines(out)) == 3
     assert "pulls=3\n" in err and "max_delay=" in err
+
+
+def test_enumerate_chunked_output_matches_stream(tmp_path, capsys):
+    # Sparse, directed and weighted: some pairs are unreachable, and the
+    # stream spans several write chunks.
+    g = gen_random(40, 50, directed=True, max_weight=9, seed=5)
+    p = tmp_path / "w.graph"
+    p.write_text(format_graph(g))
+    for flags, mode in (([], OutputMode()),
+                        (["--sorted"], OutputMode(sorted=True))):
+        lines = [f"{s} {t} {'inf' if d == math.inf else d}\n"
+                 for s, t, d in make_enumerator(g, mode)]
+        assert len(lines) == 1600 and lines[-1].endswith(" inf\n")
+        rc, out, _ = run(capsys, "enumerate", str(p), *flags)
+        assert rc == 0 and out == "".join(lines)
+        rc, out, err = run(capsys, "enumerate", str(p), *flags,
+                           "--limit", "1000", "--report")
+        assert rc == 0 and out == "".join(lines[:1000])
+        assert "pulls=1000\n" in err
 
 
 def test_enumerate_huge_header_is_input_error(tmp_path, capsys):

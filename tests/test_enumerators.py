@@ -10,7 +10,7 @@ from distenum import (OutputMode, ScheduleUnderflow, brute_force_matrix,
                       from_edge_list, gen_clique_path, gen_isolated_plus_edge,
                       gen_random, gen_star, make_enumerator, run_metered,
                       validate)
-from conftest import all_mode_combos, assert_valid_run, metered_run
+from conftest import all_mode_combos, assert_valid_run, graphs, metered_run
 
 INF = math.inf
 
@@ -280,23 +280,6 @@ def test_underflow_is_a_runtime_error_subclass():
 
 
 # -- property tests ---------------------------------------------------------
-
-def edge_list_graphs(draw):
-    n = draw(st.integers(1, 10))
-    directed = draw(st.booleans())
-    weighted = draw(st.booleans())
-    wmax = min(9, n ** 3)
-    edges = draw(st.lists(
-        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
-                  st.integers(0, wmax)),
-        max_size=25))
-    if not weighted:
-        edges = [(u, v) for u, v, _ in edges]
-    return from_edge_list(n, edges, directed, weighted=weighted)
-
-
-graphs = st.composite(edge_list_graphs)
-
 
 @settings(max_examples=40, deadline=None)
 @given(graphs(), st.sampled_from(all_mode_combos()))

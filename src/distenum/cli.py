@@ -124,7 +124,11 @@ def cmd_verify(args) -> int:
     mode = _mode_of(args)
     enum = make_enumerator(g, mode, source=args.source, dedup=args.dedup)
     triples, report = run_metered(enum)
-    if args.corrupt and triples:
+    if args.corrupt:
+        if not triples:
+            print("error: --corrupt needs a non-empty stream to corrupt",
+                  file=sys.stderr)
+            return 2
         mid = len(triples) // 2
         t = triples[mid]
         bad = 1 if t.distance == math.inf else t.distance + 1
@@ -222,13 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
     f = fam.add_parser("star", help="weighted star around vertex 0")
     f.add_argument("--n", type=int, required=True)
     f.add_argument("--weights", help="comma-separated spoke weights")
-    f.add_argument("--max-weight", type=int, default=100)
+    f.add_argument("--max-weight", type=_at_least(1), default=100)
     f.add_argument("--seed", type=int, default=0)
     f = fam.add_parser("random", help="uniform simple random graph")
     f.add_argument("--n", type=int, required=True)
     f.add_argument("--m", type=int, required=True)
     f.add_argument("--directed", action="store_true")
-    f.add_argument("--max-weight", type=int, default=0)
+    f.add_argument("--max-weight", type=_at_least(0), default=0)
     f.add_argument("--seed", type=int, default=0)
     f = fam.add_parser("isolated-plus-edge", help="one edge, rest isolated")
     f.add_argument("--n", type=int, required=True)
@@ -267,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--directed", action="store_true",
                    help="random family only")
-    p.add_argument("--max-weight", type=int, default=0,
+    p.add_argument("--max-weight", type=_at_least(0), default=0,
                    help="random family only; 0 means unweighted")
     p.set_defaults(func=cmd_bench)
 

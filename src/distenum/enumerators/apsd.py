@@ -119,8 +119,7 @@ class UnconstrainedApsdEnumerator(Enumerator):
             # banked as it accumulates: paced deduped pulls pop slowly
             # enough that the head phase can end mid-loop
             self._degree_sum = total
-            self._emit(v, v, 0)
-            if c.total >= c.deadline:
+            if self._emit(v, v, 0) or c.total >= c.deadline:
                 yield
         self._budget_moved()
         sources = _balanced_order(range(n)) if self.dedup else range(n)
@@ -148,10 +147,6 @@ class NoSelfApsdEnumerator(Enumerator):
     """All n(n-1) non-self pairs, order free."""
 
     _dedup_paced = True
-    # The machine picks cursor or search afresh at every instrumented
-    # step, from the queue length; its step-exact delays depend on
-    # making that choice at each step, so it suspends at each one.
-    _every_step = True
     # The cursor runs whenever the queue holds fewer triples than this.
     _refill_below = 4
 
@@ -215,40 +210,41 @@ class NoSelfApsdEnumerator(Enumerator):
             else range(self.graph.n)
         return _balanced_order(base) if self.dedup else base
 
+    def _emit(self, u, v, d):
+        # Also ask when this append brings the queue to the refill mark.
+        before = len(self.q)
+        return Enumerator._emit(self, u, v, d) \
+            or before < self._refill_below == len(self.q)
+
     def _run(self):
+        # The per-step machine's choice, made once per resume.  The queue
+        # only grows within a pull, so it can flip only where a cursor or
+        # search ends (control returns here), or where _emit reaches the
+        # refill mark or a cursor queues a source past it (each suspends).
         cursor = self._weighted_cursor() if self.graph.weighted \
             else self._unweighted_cursor()
         c = self.counter
-        cursor_alive = True
         pending = self._pending
         search = None
         arrays = []
         while True:
-            if cursor_alive and len(self.q) < self._refill_below:
-                try:
-                    yield next(cursor)
-                except StopIteration:
-                    cursor_alive = False
-                continue
-            if search is None and pending:
+            refill = cursor is not None and len(self.q) < self._refill_below
+            if not refill and search is None and pending:
                 c.total += 1
                 search = self._search(pending.popleft(), arrays)
                 if c.total >= c.deadline:
                     yield
                 continue
-            if search is not None:
-                try:
-                    yield next(search)
-                except StopIteration:
+            active = cursor if refill or search is None else search
+            if active is None:
+                return
+            try:
+                yield next(active)
+            except StopIteration:
+                if active is cursor:
+                    cursor = None
+                else:
                     search = None
-                continue
-            if cursor_alive:
-                try:
-                    yield next(cursor)
-                except StopIteration:
-                    cursor_alive = False
-                continue
-            return
 
     def _unweighted_cursor(self):
         c, offsets = self.counter, self.graph.offsets
@@ -267,7 +263,7 @@ class NoSelfApsdEnumerator(Enumerator):
             if deg > 0 and (yield from unit_arcs(self, s, marks)):
                 self._pending.append(s)
                 c.total += 1
-                if c.total >= c.deadline:
+                if len(self.q) >= self._refill_below or c.total >= c.deadline:
                     yield
             else:
                 # Only loops or nothing at all: the row is all
@@ -290,10 +286,11 @@ class NoSelfApsdEnumerator(Enumerator):
                 # A cheapest outgoing arc is a shortest path to its head:
                 # any other route starts with an arc at least as heavy.
                 self._tmin.write(s, best_t)
-                self._emit(s, best_t, best_w)
+                stop = self._emit(s, best_t, best_w)
                 self._pending.append(s)
                 c.total += 1
-                if c.total >= c.deadline:
+                if stop or len(self.q) >= self._refill_below \
+                        or c.total >= c.deadline:
                     yield
 
     def _search(self, s, arrays):

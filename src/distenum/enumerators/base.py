@@ -7,6 +7,8 @@ its deadline (start plus budget) on the StepCounter; the machine checks
 it at every instrumented step and suspends only once it is reached, so a
 pull costs one generator resume and still stops at the exact step the
 budget runs out.  A budget that moves mid-pull moves the deadline too.
+An emit may also ask for a suspension: after an emit that returns
+True, the emit site suspends the machine at its next check.
 Machines bank solutions ahead of schedule in the queue; if a budget
 ever expires with nothing banked and the machine still running, the
 schedule's accounting is broken and pull raises ScheduleUnderflow.  A
@@ -87,9 +89,6 @@ class Enumerator:
     _dedup_paced = False
     # Coefficient of the default, max-degree budget.
     _per_degree = PER_MAX_DEGREE
-    # Arm every pull's deadline at -1, so the machine suspends at every
-    # instrumented step instead of only at the budget's end.
-    _every_step = False
 
     def __init__(self, graph: Graph, counter: StepCounter | None = None):
         self.graph = graph
@@ -139,7 +138,7 @@ class Enumerator:
             self._produced_in_pull = 0
             self._paced_stop = False
             self._pull_start = start
-            self._arm_deadline()
+            counter.deadline = start + self._budget_cached
             try:
                 while counter.total - start < self._budget_cached:
                     try:
@@ -198,7 +197,8 @@ class Enumerator:
     def _run(self):
         """The machine: a generator of counted work.  It checks the
         counter's deadline at each instrumented step and suspends once the
-        deadline is reached (or to yield IDLE)."""
+        deadline is reached, right after an emit that returns True, or to
+        yield IDLE."""
         raise NotImplementedError
 
     def _refresh_budget(self) -> None:
@@ -217,7 +217,11 @@ class Enumerator:
 
     # -- machinery shared by subclasses -----------------------------------
 
-    def _emit(self, u: int, v: int, d) -> None:
+    def _emit(self, u: int, v: int, d) -> bool:
+        """Bank (u, v, d) unless the dedup filter drops it.  Return True
+        when the machine must suspend right after this visit: paced dedup
+        machines ask to end the pull, the no-self machine asks at its
+        refill mark (and a sorted pool instance's emit always asks)."""
         self._produced_in_pull += 1
         key = self._keep_key
         if key is None or key(u) <= key(v):
@@ -232,13 +236,13 @@ class Enumerator:
         # pull.  A thin queue suspends the pacing, so low-bank stretches
         # burn like a plain run; thin means too little to cover a run of
         # filtered visits, each of which can cost about 2 * dmax steps.
-        # Production is the only way the test can turn true, and every
-        # emission is followed by a suspension point, so the machine
-        # stops there and the pull ends.
+        # Production is the only way the test can turn true; the emit
+        # site suspends the machine on the True return and pull ends.
         if self._paced and self._produced_in_pull >= 2 \
                 and len(self.q) >= 2 * (self._dmax_seen + 1):
             self._paced_stop = True
-            self.counter.deadline = -1
+            return True
+        return False
 
     def _see_degree(self, deg: int) -> None:
         if deg > self._dmax_seen:
@@ -249,12 +253,6 @@ class Enumerator:
         """Recompute the budget; mid-pull, move the deadline with it."""
         self._refresh_budget()
         if self._pull_start is not None:
-            self._arm_deadline()
-
-    def _arm_deadline(self) -> None:
-        if self._every_step or self._paced_stop:
-            self.counter.deadline = -1
-        else:
             self.counter.deadline = self._pull_start + self._budget_cached
 
     def enable_dedup(self) -> None:

@@ -1,12 +1,13 @@
 """Instrumented searches and scans: the package's only graph traversals.
 
-bfs_search and dijkstra_search check the counter's deadline once per
-handful of counted steps and suspend only when it is reached, so a pull
-can stop them mid-flight with bounded overshoot.  They hand visits, in
-hop or weight order, to an emit(s, v, d) callable: linear machines pass
-the enumerator's _emit (bank in the solution queue), a sorted pool
-instance one that parks the triple for the pool's driver and returns
-True, which suspends the search right after the visit.
+Every loop here checks the counter's deadline once per handful of
+counted steps and suspends when it is reached, so a pull can stop it
+mid-flight with bounded overshoot; each emit site below also suspends
+at its next check after an emit that returns True.  bfs_search and
+dijkstra_search hand visits, in hop or weight order, to an emit(s, v,
+d) callable: linear machines pass the enumerator's _emit (bank in the
+solution queue), a sorted pool instance one that parks the triple for
+the pool's driver and returns True.
 Unless told otherwise a search backs off (yields IDLE) while the queue
 is at capacity, so banked output stays linear in n, and ends with a
 sweep that reports unreached targets.  Sequential machines keep one
@@ -153,9 +154,8 @@ def sweep_unreached(enum, s: int, dist: LazyArray):
         while len(enum.q) >= enum.qcap:
             yield IDLE
         counter.total += 1
-        if dist.read(t) is None:
-            enum._emit(s, t, INFINITE)
-        if counter.total >= counter.deadline:
+        stop = dist.read(t) is None and enum._emit(s, t, INFINITE)
+        if stop or counter.total >= counter.deadline:
             yield
 
 
@@ -166,9 +166,8 @@ def fan_row(enum, s: int):
         while len(enum.q) >= enum.qcap:
             yield IDLE
         counter.total += 1
-        if t != s:
-            enum._emit(s, t, INFINITE)
-        if counter.total >= counter.deadline:
+        stop = t != s and enum._emit(s, t, INFINITE)
+        if stop or counter.total >= counter.deadline:
             yield
 
 
@@ -186,12 +185,13 @@ def unit_arcs(enum, s: int, marks: list):
     for i in range(g.offsets[s], g.offsets[s + 1]):
         counter.total += 1
         t = targets[i]
+        stop = False
         if t != s:
             out_arc = True
             if seen.read(t) is None:
                 seen.write(t, 1)
-                enum._emit(s, t, 1)
-        if counter.total >= counter.deadline:
+                stop = enum._emit(s, t, 1)
+        if stop or counter.total >= counter.deadline:
             yield
     return out_arc
 

@@ -308,14 +308,11 @@ def gen_random(n: int, m: int, *, directed: bool = False, max_weight: int = 0,
         raise ValueError(f"m={m} infeasible for n={n} ({'directed' if directed else 'undirected'})")
     rng = random.Random(seed)
     chosen: list[int]
-    if m <= limit // 2 or limit <= 1024:
-        if limit <= 1024:
-            chosen = rng.sample(range(limit), m)
-        else:
-            seen: set[int] = set()
-            while len(seen) < m:
-                seen.add(rng.randrange(limit))
-            chosen = sorted(seen)
+    if limit > 1024 and m <= limit // 2:
+        seen: set[int] = set()
+        while len(seen) < m:
+            seen.add(rng.randrange(limit))
+        chosen = sorted(seen)
     else:
         chosen = rng.sample(range(limit), m)
 

@@ -7,10 +7,11 @@ of a sweep loop.  The counter also tracks lazy-array cell allocation so
 reports can state peak concurrently-live cells.
 
 It also carries the deadline of the pull in progress: the step total
-at which the machine must suspend (-1 suspends it at its next check).
-A pull sets it to its start plus its budget and puts it back to NEVER
-when it ends, so work driven outside a pull (preprocessing, a plain
-heap operation) runs straight through its suspension points.
+at which the machine must suspend.  A pull sets it to its start plus
+its budget and puts it back to NEVER when it ends, so work driven
+outside a pull (preprocessing, a plain heap operation) runs straight
+through its suspension points.  Only the tests' per-step reference
+counter holds a deadline that is always passed.
 
 A Meter records the counted steps of every pull it makes; run_metered
 drives one to the end of the stream.  Metering itself never touches the

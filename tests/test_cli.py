@@ -158,7 +158,11 @@ def test_enumerate_limit_zero_prints_nothing(path_file, capsys):
 
 def test_negative_counts_are_usage_errors(path_file, capsys):
     for argv in (["enumerate", str(path_file), "--limit", "-2"],
-                 ["bench", "clique-path", "--sizes", "4", "--repeats", "0"]):
+                 ["bench", "clique-path", "--sizes", "4", "--repeats", "0"],
+                 ["generate", "random", "--n", "5", "--m", "3",
+                  "--max-weight", "-2"],
+                 ["bench", "random", "--sizes", "5", "--max-weight", "-3"],
+                 ["generate", "star", "--n", "3", "--max-weight", "0"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
@@ -209,6 +213,16 @@ def test_verify_corrupt_stream_flagged(path_file, capsys):
     rc, out, _ = run(capsys, "verify", str(path_file), "--corrupt")
     assert rc == 1
     assert "VIOLATION" in out
+
+
+def test_verify_corrupt_empty_stream_is_usage_error(tmp_path, capsys):
+    # One vertex, no self pair: nothing to corrupt, so the self-test
+    # cannot fail the way it must.
+    p = tmp_path / "one.graph"
+    run(capsys, "generate", "random", "--n", "1", "--m", "0", "-o", str(p))
+    rc, out, err = run(capsys, "verify", str(p), "--corrupt", "--no-self")
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "corrupt" in err
 
 
 def test_verify_dedup(tmp_path, capsys):

@@ -164,17 +164,26 @@ def _bench_graph(family: str, size: int, args):
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(x) for x in args.sizes.split(",")]
     mode = _mode_of(args)
+
+    def enumerator(g):
+        return make_enumerator(g, mode, source=args.source, dedup=args.dedup)
+
+    # Build every size's graph and first enumerator before the header, so
+    # the generators' and the enumerators' own checks reject a bad size
+    # or source while nothing has been printed.
+    runs = []
+    for size in (int(x) for x in args.sizes.split(",")):
+        g = _bench_graph(args.family, size, args)
+        runs.append((size, g, enumerator(g)))
     print(f"{'size':>6} {'n':>7} {'m':>8} {'maxdeg':>6} {'avgdeg':>7} "
           f"{'max_delay':>9} {'fitted':>8} {'peak_q':>7} {'lazy':>10}")
-    for size in sizes:
-        g = _bench_graph(args.family, size, args)
+    for size, g, enum in runs:
         best = None
-        for _ in range(args.repeats):
-            enum = make_enumerator(g, mode, source=args.source,
-                                   dedup=args.dedup)
-            triples, rep = run_metered(enum, keep_triples=False)
+        for repeat in range(args.repeats):
+            if repeat:
+                enum = enumerator(g)
+            _, rep = run_metered(enum, keep_triples=False)
             if best is None or rep.max_delay > best.max_delay:
                 best = rep
         stats = g.stats()

@@ -1,21 +1,24 @@
 """Globally distance-sorted all-pairs enumeration.
 
-One search instance per source runs lazily; a driver interleaves them so
-the merged stream comes out in non-decreasing distance order.  An
-instance runs the shared search from searches.py without queue back-off,
-parking each visit until the driver takes it.
+One search instance per source runs lazily; one driver, _drive,
+interleaves them so the merged stream comes out in non-decreasing
+distance order.  An instance runs the shared search from searches.py
+without queue back-off, parking each visit until the driver takes it.
+The driver resumes an instance's search itself, inline, so a visit costs
+no generator of its own.  The pool holding the instances decides which
+one goes next.
 
-Unweighted driver: a FIFO pool.  Hop distances make every live
-instance's next production either the level being emitted or the next
-one, so the head of the pool always holds a global minimum: emit it,
-advance the instance, keep it at the head while it stays on the level
-and rotate it to the back when it moves past it.
+Unweighted pool: a FIFO.  Hop distances make every live instance's next
+production either the level being emitted or the next one, so the head
+of the pool always holds a global minimum: emit it, run the instance to
+its next visit, keep it at the head while it stays on the level, rotate
+it to the back when it moves past it and pop it when its search ends.
 
-Weighted driver: a priority queue keyed by each instance's next
-production distance.  The initial key is the weight of the cheapest
-non-loop arc, which is exactly the first distance the instance will
-produce; afterwards each instance is reinserted under the distance of
-its freshly produced pair, so extraction order is emission order.
+Weighted pool: a heap keyed by each instance's next production distance.
+The initial key is the weight of the cheapest non-loop arc, which is
+exactly the first distance the instance will produce; afterwards each
+instance is reinserted under the distance of its freshly produced pair,
+so extraction order is emission order.  A finished instance is dropped.
 
 Unreachable pairs carry the largest distance and close the stream.
 Rows of vertices that never got an instance are emitted directly; the
@@ -65,12 +68,12 @@ class _SortedBase(Enumerator):
     # -- per-source search instances --------------------------------------
 
     def _new_instance(self, s, skip_le):
-        # The pool's drivers watch the queue cap themselves, and _advance
-        # does not forward IDLE, so an instance must never back off.  The
-        # search suspends after each parked visit (the instance's emit
-        # returns True) and otherwise only at the deadline, where _advance
-        # suspends the driver in turn.  The instance is its own emit: a
-        # bound method per instance slowed setup by about 40%.
+        # The pool's driver watches the queue cap itself, so an instance
+        # must never back off.  The search suspends after each parked
+        # visit (the instance's emit returns True) and otherwise only at
+        # the deadline, where the driver suspends in turn.  The instance
+        # is its own emit: a bound method per instance slowed setup by
+        # about 40%.
         arrays = search_arrays(self)
         inst = _Instance(s, arrays[0])
         inst.gen = search(self, s, arrays, inst, skip_le=skip_le,
@@ -78,73 +81,52 @@ class _SortedBase(Enumerator):
         self._instances.append(inst)
         return inst
 
-    def _advance(self, inst):
-        c = self.counter
-        while inst.pending is None:
-            try:
-                next(inst.gen)
-            except StopIteration:
-                return False
-            if c.total >= c.deadline:
-                yield
-        return True
+    # -- the pool driver ---------------------------------------------------
 
-    # -- drivers -----------------------------------------------------------
+    def _drive(self, pool):
+        """Merge the pool's instances into one distance-ordered stream.
 
-    def _pool_loop(self, pool):
+        Each round takes the next instance, emits its parked visit, runs
+        its search inline to the next one and places the instance again.
+        A fresh instance has parked nothing yet, so the round first runs
+        it to its first visit.
+        """
         c = self.counter
+        heap = self.graph.weighted
         while pool:
             while len(self.q) >= self.qcap:
                 yield IDLE
-            inst = pool[0]
-            if inst.pending is None:
-                ok = yield from self._advance(inst)
-                if not ok:
-                    c.total += 1
-                    pool.popleft()
+            if heap:
+                _key, inst = yield from pool.extract_min_g()
+            else:
+                inst = pool[0]
+            gen = inst.gen
+            last = None
+            while True:
+                while inst.pending is None:
+                    try:
+                        next(gen)
+                    except StopIteration:
+                        break
                     if c.total >= c.deadline:
                         yield
-                    continue
-            u, v, d = inst.pending
-            inst.pending = None
-            c.total += 1
-            self._emit(u, v, d)
-            if c.total >= c.deadline:
-                yield
-            ok = yield from self._advance(inst)
-            if not ok:
+                if last is not None or inst.pending is None:
+                    break
+                last, inst.pending = inst.pending, None
                 c.total += 1
-                pool.popleft()
+                self._emit(*last)
                 if c.total >= c.deadline:
                     yield
-            elif inst.pending[2] != d:
+            nxt = inst.pending
+            if heap:
+                if nxt is not None:
+                    yield from pool.insert_g(nxt[2], inst)
+            elif nxt is None or nxt[2] != last[2]:
+                # Search over: pop it; past the level: rotate to the back.
                 c.total += 1
                 pool.popleft()
-                pool.append(inst)
-                if c.total >= c.deadline:
-                    yield
-
-    def _sched_loop(self, sched):
-        c = self.counter
-        while sched:
-            while len(self.q) >= self.qcap:
-                yield IDLE
-            _key, inst = yield from sched.extract_min_g()
-            if c.total >= c.deadline:
-                yield
-            if inst.pending is None:
-                ok = yield from self._advance(inst)
-                if not ok:
-                    continue
-            u, v, d = inst.pending
-            inst.pending = None
-            c.total += 1
-            self._emit(u, v, d)
-            if c.total >= c.deadline:
-                yield
-            ok = yield from self._advance(inst)
-            if ok:
-                yield from sched.insert_g(inst.pending[2], inst)
+                if nxt is not None:
+                    pool.append(inst)
                 if c.total >= c.deadline:
                     yield
 
@@ -241,7 +223,7 @@ class SortedApsdEnumerator(_SortedBase):
                     self._fans.append(v)
                 if c.total >= c.deadline:
                     yield
-            yield from self._pool_loop(pool)
+            yield from self._drive(pool)
         if not self.mode.reachable_only:
             yield from self._inf_phase()
 
@@ -261,9 +243,7 @@ class SortedApsdEnumerator(_SortedBase):
             if c.total >= c.deadline:
                 yield
             yield from sched.insert_g(best, inst)
-            if c.total >= c.deadline:
-                yield
-        yield from self._sched_loop(sched)
+        yield from self._drive(sched)
 
 
 class SortedNoSelfApsdEnumerator(_SortedBase):
@@ -307,7 +287,7 @@ class SortedNoSelfApsdEnumerator(_SortedBase):
         g = self.graph
         c = self.counter
         if g.weighted:
-            yield from self._sched_loop(self._sched)
+            yield from self._drive(self._sched)
         else:
             yield from self._edge_cursor()
             pool = deque()
@@ -317,7 +297,7 @@ class SortedNoSelfApsdEnumerator(_SortedBase):
                 c.total += 1
                 if c.total >= c.deadline:
                     yield
-            yield from self._pool_loop(pool)
+            yield from self._drive(pool)
         if not self.mode.reachable_only:
             yield from self._inf_phase()
 

@@ -1,7 +1,8 @@
 """Addressable binary min-heap with decrease-key.
 
 Every insert returns a handle that stays valid until the entry is
-extracted.  Key ties break by insertion order (first inserted wins), so
+extracted.  Handles count inserts from 0, so a handle is its entry's
+insertion order; key ties break on the handle (first inserted wins), and
 extraction order is deterministic.  Each key comparison charges one
 counted step.  The generator variants of the operations check the
 counter's deadline after every comparison and suspend only once it is
@@ -25,16 +26,14 @@ def drain(gen):
 
 
 class AddressablePQ:
-    __slots__ = ("counter", "_heap", "_keys", "_seqs", "_payloads", "_pos", "_next_seq")
+    __slots__ = ("counter", "_heap", "_keys", "_payloads", "_pos")
 
     def __init__(self, counter: StepCounter | None = None):
         self.counter = counter if counter is not None else StepCounter()
         self._heap: list[int] = []
         self._keys: list = []
-        self._seqs: list[int] = []
         self._payloads: list = []
         self._pos: list[int] = []
-        self._next_seq = 0
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -88,7 +87,7 @@ class AddressablePQ:
 
     def decrease_key_g(self, handle: int, key):
         self._check_live(handle)
-        if (key, self._seqs[handle]) > (self._keys[handle], self._seqs[handle]):
+        if key > self._keys[handle]:
             raise ValueError(
                 f"decrease_key to larger key {key!r} (current {self._keys[handle]!r})")
         self._keys[handle] = key
@@ -112,8 +111,6 @@ class AddressablePQ:
     def _new_entry(self, key, payload) -> int:
         h = len(self._keys)
         self._keys.append(key)
-        self._seqs.append(self._next_seq)
-        self._next_seq += 1
         self._payloads.append(payload)
         self._pos.append(-1)
         return h
@@ -123,14 +120,14 @@ class AddressablePQ:
             raise ValueError(f"handle {handle} is not live")
 
     def _sift_up_g(self, i: int):
-        heap, pos, keys, seqs = self._heap, self._pos, self._keys, self._seqs
+        heap, pos, keys = self._heap, self._pos, self._keys
         c = self.counter
         while i > 0:
             parent = (i - 1) >> 1
             hp, hi = heap[parent], heap[i]
             c.total += 1
             ki, kp = keys[hi], keys[hp]
-            less = ki < kp if ki != kp else seqs[hi] < seqs[hp]
+            less = ki < kp if ki != kp else hi < hp
             if c.total >= c.deadline:
                 yield
             if not less:
@@ -140,7 +137,7 @@ class AddressablePQ:
             i = parent
 
     def _sift_down_g(self, i: int):
-        heap, pos, keys, seqs = self._heap, self._pos, self._keys, self._seqs
+        heap, pos, keys = self._heap, self._pos, self._keys
         c = self.counter
         n = len(heap)
         while True:
@@ -152,7 +149,7 @@ class AddressablePQ:
                 hr, hc = heap[right], heap[child]
                 c.total += 1
                 kr, kc = keys[hr], keys[hc]
-                less = kr < kc if kr != kc else seqs[hr] < seqs[hc]
+                less = kr < kc if kr != kc else hr < hc
                 if c.total >= c.deadline:
                     yield
                 if less:
@@ -160,7 +157,7 @@ class AddressablePQ:
             hc, hi = heap[child], heap[i]
             c.total += 1
             kc, ki = keys[hc], keys[hi]
-            less = kc < ki if kc != ki else seqs[hc] < seqs[hi]
+            less = kc < ki if kc != ki else hc < hi
             if c.total >= c.deadline:
                 yield
             if not less:

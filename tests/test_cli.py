@@ -251,14 +251,32 @@ def test_missing_graph_file(capsys):
 
 
 def test_bench_smoke(capsys):
-    rc, out, _ = run(capsys, "bench", "clique-path", "--sizes", "4,8")
-    assert rc == 0
-    rows = [ln for ln in out.splitlines() if ln.strip()]
-    # header plus one row per size, fitted column populated
-    assert len(rows) == 3
-    assert "fitted" in rows[0]
-    for row in rows[1:]:
-        assert float(row.split()[6]) > 0
+    for argv in (["clique-path", "--sizes", "4,8"],
+                 ["random", "--sizes", "12,16", "--max-weight", "9"],
+                 ["random", "--sizes", "12,16", "--source", "3"]):
+        rc, out, _ = run(capsys, "bench", *argv)
+        assert rc == 0, argv
+        rows = [ln for ln in out.splitlines() if ln.strip()]
+        # header plus one row per size, fitted column populated
+        assert len(rows) == 3
+        assert "fitted" in rows[0]
+        for row in rows[1:]:
+            assert float(row.split()[6]) > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["random", "--sizes", "5"],
+    ["clique-path", "--sizes", "2"],
+    ["star", "--sizes", "0"],
+    ["random", "--sizes", "20", "--source", "50"],
+    ["random", "--sizes", "20,5"],
+])
+def test_bench_bad_size_prints_nothing(capsys, argv):
+    # Every size is checked before the header, so a bad one leaves no
+    # partial table behind.
+    rc, out, err = run(capsys, "bench", *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:")
 
 
 def test_bmm_identity(tmp_path, capsys):

@@ -9,6 +9,9 @@ any other field has changed what the schedules do and must say why.
 Regenerate the file (only when a change is meant to move a report) with
 
     PYTHONPATH=src python tests/test_report_fingerprints.py
+
+which rewrites only the entries that moved and prints each of them with
+its moved fields.
 """
 import hashlib
 import json
@@ -99,8 +102,27 @@ def test_reports_match_fingerprints():
 
 
 def write_fingerprints():
-    data = {key: measure(g, mode, source, dedup)
-            for key, g, mode, source, dedup in fingerprint_runs()}
+    """Store fresh values for the entries that moved, naming each one and
+    its moved fields first.  An entry moved when the test above would
+    flag it: a field differs, or lazy cells exceed the stored cap.  Every
+    other entry keeps its stored values, lazy cap included."""
+    old = json.loads(DATA.read_text()) if DATA.exists() else {}
+    data, moved = {}, []
+    for key, g, mode, source, dedup in fingerprint_runs():
+        got = measure(g, mode, source, dedup)
+        want = old.get(key, {})
+        fields = [f"{field} {want.get(field)!r} -> {value!r}"
+                  for field, value in got.items()
+                  if field not in want
+                  or (value > want[field] if field == "lazy_cells_allocated"
+                      else value != want[field])]
+        if fields:
+            moved.append(f"{key}: " + "; ".join(fields))
+        data[key] = got if fields else want
+    moved += [f"{key}: dropped" for key in sorted(old.keys() - data.keys())]
+    print(f"{len(moved)} of {len(data)} entries moved")
+    for line in moved:
+        print(line)
     DATA.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(data)} entries to {DATA}")
 

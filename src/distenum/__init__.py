@@ -7,12 +7,8 @@ outputs is bounded by a declared function of the graph's degree
 statistics; metering helpers measure and fit those delays.
 """
 from .bmm import bmm_multiply
-from .enumerators import (DistanceTriple, Enumerator, INFINITE,
-                          NoSelfApsdEnumerator, OutputMode,
-                          RowSearchEnumerator, ScheduleUnderflow,
-                          SingleSourceEnumerator, SortedApsdEnumerator,
-                          SortedNoSelfApsdEnumerator,
-                          UnconstrainedApsdEnumerator, make_enumerator)
+from .enumerators import (DistanceTriple, Enumerator, INFINITE, OutputMode,
+                          ScheduleUnderflow, make_enumerator)
 from .graph import (Graph, GraphFormatError, from_edge_list, format_graph,
                     gen_bmm_graph, gen_clique_path, gen_isolated_plus_edge,
                     gen_random, gen_star, load_graph, parse_graph)
@@ -28,10 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AddressablePQ", "DelayReport", "DistanceMatrix", "DistanceTriple",
     "Enumerator", "Graph", "GraphFormatError", "INFINITE", "LazyArray",
-    "NoSelfApsdEnumerator", "OutputMode", "RowSearchEnumerator",
-    "ScheduleUnderflow", "SingleSourceEnumerator", "SortedApsdEnumerator",
-    "SortedNoSelfApsdEnumerator", "StepCounter", "UnconstrainedApsdEnumerator",
-    "Violation", "bmm_multiply", "brute_force_matrix", "direct_multiply",
+    "OutputMode", "ScheduleUnderflow", "StepCounter", "Violation", "bmm_multiply", "brute_force_matrix", "direct_multiply",
     "fit_bound", "format_bool_matrix", "format_graph", "from_edge_list",
     "gen_bmm_graph", "gen_clique_path", "gen_isolated_plus_edge",
     "gen_random", "gen_star", "load_graph", "make_enumerator",

@@ -1,5 +1,5 @@
 """Pull-based shortest-distance enumerators with instrumented delays."""
-from .base import (DistanceTriple, Enumerator, IDLE, INFINITE, OutputMode,
+from .base import (DistanceTriple, Enumerator, INFINITE, OutputMode,
                    ScheduleUnderflow)
 from .sssd import SingleSourceEnumerator
 from .apsd import (NoSelfApsdEnumerator, RowSearchEnumerator,
@@ -7,18 +7,14 @@ from .apsd import (NoSelfApsdEnumerator, RowSearchEnumerator,
 from .sorted_apsd import SortedApsdEnumerator, SortedNoSelfApsdEnumerator
 
 __all__ = [
-    "DistanceTriple", "Enumerator", "IDLE", "INFINITE", "OutputMode",
-    "ScheduleUnderflow",
-    "SingleSourceEnumerator", "RowSearchEnumerator",
-    "UnconstrainedApsdEnumerator", "NoSelfApsdEnumerator",
-    "SortedApsdEnumerator", "SortedNoSelfApsdEnumerator",
-    "make_enumerator",
+    "DistanceTriple", "Enumerator", "INFINITE", "OutputMode",
+    "ScheduleUnderflow", "make_enumerator",
 ]
 
 
 def make_enumerator(graph, mode: OutputMode = OutputMode(), *, source=None,
                     dedup: bool = False, counter=None):
-    """Pick the machine for an output regime.
+    """Build the machine for an output regime; the regime is fixed here.
 
     source selects a single-source run (mode trims still apply); dedup
     keeps one representative per unordered pair on undirected graphs.
@@ -31,14 +27,11 @@ def make_enumerator(graph, mode: OutputMode = OutputMode(), *, source=None,
     if mode.sorted:
         cls = SortedNoSelfApsdEnumerator if mode.no_self \
             else SortedApsdEnumerator
-        enum = cls(graph, mode, counter)
     elif mode.row_wise or mode.reachable_only:
-        enum = RowSearchEnumerator(graph, mode, counter)
+        cls = RowSearchEnumerator
     elif mode.no_self:
-        enum = NoSelfApsdEnumerator(graph, counter)
+        cls = NoSelfApsdEnumerator
     else:
-        enum = UnconstrainedApsdEnumerator(graph, counter)
-    if dedup:
-        enum.enable_dedup()
-    return enum
+        cls = UnconstrainedApsdEnumerator
+    return cls(graph, mode, counter, dedup)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .base import HEAD_BUDGET, Enumerator, IDLE, OutputMode, base_avg_degree
+from .base import HEAD_BUDGET, Enumerator, IDLE, base_avg_degree
 from .searches import (cheapest_out_arc, fan_row, has_out_arc, reuse_arrays,
                        search, unit_arcs)
 from ..lazyarray import LazyArray
@@ -49,12 +49,8 @@ def _balanced_order(seq):
 class RowSearchEnumerator(Enumerator):
     """Rows in source order; optional no-self and reachable-only trims."""
 
-    def __init__(self, graph, mode: OutputMode = OutputMode(), counter=None):
-        super().__init__(graph, counter)
-        if mode.sorted:
-            raise ValueError("row searches cannot promise a globally "
-                             "sorted stream")
-        self.mode = mode
+    def __init__(self, graph, mode, counter, dedup):
+        super().__init__(graph, mode, counter, dedup)
         if mode.no_self:
             self._budget_scale *= 2
         self._sources = None
@@ -94,8 +90,8 @@ class UnconstrainedApsdEnumerator(Enumerator):
 
     _dedup_paced = True
 
-    def __init__(self, graph, counter=None):
-        super().__init__(graph, counter)
+    def __init__(self, graph, mode, counter, dedup):
+        super().__init__(graph, mode, counter, dedup)
         self._degree_sum = None
         self.phase = "stream" if graph.n <= 2 else "head"
 
@@ -150,9 +146,8 @@ class NoSelfApsdEnumerator(Enumerator):
     # The cursor runs whenever the queue holds fewer triples than this.
     _refill_below = 4
 
-    def __init__(self, graph, counter=None):
-        super().__init__(graph, counter)
-        self.mode = OutputMode(no_self=True)
+    def __init__(self, graph, mode, counter, dedup):
+        super().__init__(graph, mode, counter, dedup)
         self._pending = deque()
         self._degsum_budget = 0
         self._tmin = None

@@ -90,20 +90,28 @@ class Enumerator:
     # Coefficient of the default, max-degree budget.
     _per_degree = PER_MAX_DEGREE
 
-    def __init__(self, graph: Graph, counter: StepCounter | None = None):
+    def __init__(self, graph: Graph, mode: OutputMode = OutputMode(),
+                 counter: StepCounter | None = None, dedup: bool = False):
+        if dedup and graph.directed:
+            raise ValueError("dedup requires an undirected graph")
         self.graph = graph
+        self.mode = mode
         self.counter = counter if counter is not None else StepCounter()
-        self.mode = OutputMode()
         self.q: deque[DistanceTriple] = deque()
         self.phase = "stream"
         self.peak_queue = 0
         self.emitted = 0
         self.preprocessing_steps = 0
-        self.dedup = False
-        self.qcap = max(16, 2 * graph.n)
-        self._budget_scale = 1
-        self._keep_key = None
-        self._paced = False
+        # Dedup keeps one representative per unordered pair.  Filtering
+        # happens at production time, so at most every second emission
+        # survives: the budget doubles to compensate, and so does the
+        # queue cap, since the queue also banks against filtered
+        # stretches, which pass through production without refilling it.
+        self.dedup = dedup
+        self._budget_scale = 2 if dedup else 1
+        self.qcap = max(16, 2 * graph.n) * self._budget_scale
+        self._keep_key = self._dedup_key_fn() if dedup else None
+        self._paced = dedup and self._dedup_paced
         self._paced_stop = False
         self._pull_start = None
         self._produced_in_pull = 0
@@ -111,7 +119,6 @@ class Enumerator:
         self._budget_cached = 1
         self._machine = None
         self._prepared = False
-        self._finished = False
 
     # -- public interface -------------------------------------------------
 
@@ -129,8 +136,6 @@ class Enumerator:
     def pull(self) -> DistanceTriple | None:
         if not self._prepared:
             self.prepare()
-        if self._finished:
-            return None
         counter = self.counter
         start = counter.total
         machine = self._machine
@@ -166,7 +171,6 @@ class Enumerator:
                 self._refresh_budget()
             return triple
         if self._machine is None:
-            self._finished = True
             return None
         raise ScheduleUnderflow(
             f"budget {self._budget_cached} expired with an empty solution queue "
@@ -254,26 +258,6 @@ class Enumerator:
         self._refresh_budget()
         if self._pull_start is not None:
             self.counter.deadline = self._pull_start + self._budget_cached
-
-    def enable_dedup(self) -> None:
-        """Keep one representative per unordered pair (undirected only).
-
-        Filtering happens at production time, so at most every second
-        emission survives; the budget doubles to compensate.  Must be
-        called before the first pull.
-        """
-        if self.graph.directed:
-            raise ValueError("dedup requires an undirected graph")
-        if self._prepared:
-            raise RuntimeError("dedup must be enabled before the first pull")
-        self.dedup = True
-        self._paced = self._dedup_paced
-        self._keep_key = self._dedup_key_fn()
-        self._budget_scale *= 2
-        self._budget_cached *= 2
-        # Doubled cap: the queue also banks against filtered stretches,
-        # which pass through production without refilling it.
-        self.qcap *= 2
 
     def _budget_avg_degree(self, degree_sum: int) -> int:
         n, coeff = self.graph.n, PER_AVG_DEGREE

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .base import PER_POOL_DEGREE, Enumerator, INFINITE, IDLE, OutputMode
+from .base import PER_POOL_DEGREE, Enumerator, INFINITE, IDLE
 from .searches import (cheapest_out_arc, components, fan_row, has_out_arc,
                        search, search_arrays, sweep_unreached, unit_arcs)
 from ..pq import AddressablePQ, drain
@@ -59,9 +59,8 @@ class _SortedBase(Enumerator):
 
     _per_degree = PER_POOL_DEGREE
 
-    def __init__(self, graph, mode: OutputMode, counter=None):
-        super().__init__(graph, counter)
-        self.mode = mode
+    def __init__(self, graph, mode, counter, dedup):
+        super().__init__(graph, mode, counter, dedup)
         self._instances: list[_Instance] = []
         self._fans: list[int] = []
 
@@ -180,9 +179,8 @@ class _SortedBase(Enumerator):
 class SortedApsdEnumerator(_SortedBase):
     """All n^2 pairs in globally non-decreasing distance order."""
 
-    def __init__(self, graph, mode: OutputMode = OutputMode(sorted=True),
-                 counter=None):
-        super().__init__(graph, mode, counter)
+    def __init__(self, graph, mode, counter, dedup):
+        super().__init__(graph, mode, counter, dedup)
         self.phase = "stream" if graph.n <= 2 else "head"
 
     def _preprocess(self):
@@ -249,10 +247,8 @@ class SortedApsdEnumerator(_SortedBase):
 class SortedNoSelfApsdEnumerator(_SortedBase):
     """All n(n-1) non-self pairs in non-decreasing distance order."""
 
-    def __init__(self, graph, mode: OutputMode = OutputMode(sorted=True,
-                                                            no_self=True),
-                 counter=None):
-        super().__init__(graph, mode, counter)
+    def __init__(self, graph, mode, counter, dedup):
+        super().__init__(graph, mode, counter, dedup)
         self._sources: list[int] = []
         self._sched = None
 

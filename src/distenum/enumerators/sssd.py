@@ -8,18 +8,16 @@ and trivially row-wise.
 """
 from __future__ import annotations
 
-from .base import Enumerator, OutputMode
+from .base import Enumerator
 from .searches import search, search_arrays
 
 
 class SingleSourceEnumerator(Enumerator):
-    def __init__(self, graph, source: int, mode: OutputMode = OutputMode(),
-                 counter=None):
-        super().__init__(graph, counter)
+    def __init__(self, graph, source, mode, counter):
+        super().__init__(graph, mode, counter)
         if not 0 <= source < graph.n:
             raise ValueError(f"source {source} out of range for n={graph.n}")
         self.source = source
-        self.mode = mode
         if mode.no_self:
             self._budget_scale *= 2
 

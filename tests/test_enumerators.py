@@ -206,14 +206,6 @@ def test_dedup_rejected_on_directed():
         make_enumerator(g, dedup=True)
 
 
-def test_dedup_must_precede_first_pull():
-    g = from_edge_list(2, [(0, 1)], False)
-    enum = make_enumerator(g)
-    enum.pull()
-    with pytest.raises(RuntimeError):
-        enum.enable_dedup()
-
-
 # -- mode plumbing ----------------------------------------------------------
 
 def test_rowwise_sorted_rejected():

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
 DEFAULT_WEIGHT_CAP_EXPONENT = 3
@@ -87,6 +88,15 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m}, {kind}, {w})"
 
 
+def _check_vertex_count(n: int) -> None:
+    """Reject a vertex count below 0 or above MAX_VERTICES."""
+    if n < 0:
+        raise GraphFormatError(f"vertex count must be non-negative, got {n}")
+    if n > MAX_VERTICES:
+        raise GraphFormatError(
+            f"vertex count {n} exceeds the cap of {MAX_VERTICES}")
+
+
 def from_edge_list(n: int, edges: Sequence[tuple], directed: bool, *,
                    weighted: bool | None = None,
                    weight_cap_exponent: int = DEFAULT_WEIGHT_CAP_EXPONENT) -> Graph:
@@ -96,11 +106,7 @@ def from_edge_list(n: int, edges: Sequence[tuple], directed: bool, *,
     ints in [0, n ** weight_cap_exponent]; ids must be in [0, n), and n
     at most MAX_VERTICES.
     """
-    if n < 0:
-        raise GraphFormatError(f"vertex count must be non-negative, got {n}")
-    if n > MAX_VERTICES:
-        raise GraphFormatError(
-            f"vertex count {n} exceeds the cap of {MAX_VERTICES}")
+    _check_vertex_count(n)
     if weighted is None:
         weighted = bool(edges) and len(edges[0]) == 3
     cap = n ** weight_cap_exponent
@@ -246,6 +252,7 @@ def gen_clique_path(k: int) -> Graph:
     if k < 3:
         raise ValueError(f"need k >= 3, got {k}")
     n = k + k * k
+    _check_vertex_count(n)  # before building about 1.5 * k * k edges
     edges: list[tuple[int, int]] = []
     for i in range(k):
         for j in range(i + 1, k):
@@ -321,14 +328,13 @@ def gen_random(n: int, m: int, *, directed: bool = False, max_weight: int = 0,
             u, r = divmod(idx, n - 1)
             v = r + (1 if r >= u else 0)
             return u, v
-        # unrank an unordered pair {u < v}
-        u = 0
-        span = n - 1
-        while idx >= span:
-            idx -= span
-            u += 1
-            span -= 1
-        return u, u + 1 + idx
+        # unrank an unordered pair {u < v}: row u starts at u*(b-u)//2,
+        # so u is the floor root of u*u - b*u + 2*idx = 0, off by at most 1
+        b = 2 * n - 1
+        u = (b - isqrt(b * b - 8 * idx)) // 2
+        if u * (b - u) // 2 > idx:
+            u -= 1
+        return u, u + 1 + idx - u * (b - u) // 2
 
     pairs = [decode(i) for i in chosen]
     if max_weight > 0:

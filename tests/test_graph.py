@@ -1,4 +1,6 @@
 """Graph construction, format round-trips, and the generator families."""
+import hashlib
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -171,6 +173,20 @@ def test_clique_path_shape():
         gen_clique_path(2)
 
 
+def test_clique_path_checks_cap_before_building(monkeypatch):
+    # An over-cap k is rejected before its ~1.5 * k * k edges exist;
+    # building them first peaks at about 25 MB for k = 400.
+    monkeypatch.setattr("distenum.graph.MAX_VERTICES", 10_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphFormatError, match="exceeds the cap"):
+            gen_clique_path(400)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_clique_path_structure():
     # the replaced clique edge is gone; its endpoints now connect through
     # the rest of the clique (2 hops) or the k^2+1 hop path
@@ -257,6 +273,13 @@ def test_random_determinism_and_bounds():
         gen_random(3, 4, directed=False)
     with pytest.raises(ValueError):
         gen_random(3, 7, directed=True)
+
+
+def test_random_undirected_pinned():
+    # Pins the unordered-pair unranking against its stored output.
+    text = format_graph(gen_random(2000, 8000, seed=1))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "935c0304307c876819233f41f20f7075581b54c5eeb452f00a8994fe30c4c556")
 
 
 def test_random_simple_and_weighted():

@@ -17,9 +17,8 @@ import sys
 
 from .bmm import bmm_multiply
 from .enumerators import OutputMode, ScheduleUnderflow, make_enumerator
-from .graph import (GraphFormatError, format_graph, gen_clique_path,
-                    gen_isolated_plus_edge, gen_random, gen_star, load_graph,
-                    parse_graph)
+from .graph import (format_graph, gen_clique_path, gen_isolated_plus_edge,
+                    gen_random, gen_star, load_graph, parse_graph)
 from .metering import Meter, run_metered
 from .oracle import (brute_force_matrix, direct_multiply, format_bool_matrix,
                      parse_bool_matrix, validate)
@@ -34,8 +33,6 @@ def _read_graph(path: str):
 def _write_text(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
         return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -310,10 +307,8 @@ def main(argv=None) -> int:
     except ScheduleUnderflow as exc:
         print(f"schedule underflow: {exc}", file=sys.stderr)
         return 1
-    except (GraphFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # GraphFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -64,6 +64,13 @@ def test_generate_bad_params(capsys):
     assert rc == 2 and "error" in err
 
 
+def test_generate_clique_path_over_cap(capsys, monkeypatch):
+    monkeypatch.setattr("distenum.graph.MAX_VERTICES", 10_000)
+    rc, out, err = run(capsys, "generate", "clique-path", "--k", "400")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: vertex count") and err.count("\n") == 1
+
+
 def test_enumerate_sssd_path(tmp_path, capsys):
     p = tmp_path / "p.graph"
     run(capsys, "generate", "isolated-plus-edge", "--n", "2", "-o", str(p))
@@ -253,12 +260,16 @@ def test_missing_graph_file(capsys):
 def test_bench_smoke(capsys):
     for argv in (["clique-path", "--sizes", "4,8"],
                  ["random", "--sizes", "12,16", "--max-weight", "9"],
-                 ["random", "--sizes", "12,16", "--source", "3"]):
+                 ["random", "--sizes", "12,16", "--source", "3"],
+                 ["isolated-plus-edge", "--sizes", "6,9"],
+                 ["star", "--sizes", "6,9", "--sorted"],
+                 ["clique-path", "--sizes", "4", "--repeats", "3",
+                  "--dedup"]):
         rc, out, _ = run(capsys, "bench", *argv)
         assert rc == 0, argv
         rows = [ln for ln in out.splitlines() if ln.strip()]
         # header plus one row per size, fitted column populated
-        assert len(rows) == 3
+        assert len(rows) == 1 + len(argv[2].split(","))
         assert "fitted" in rows[0]
         for row in rows[1:]:
             assert float(row.split()[6]) > 0

@@ -2,9 +2,8 @@
 
 The stored values live in report_fingerprints.json next to this file.
 Each entry pins a SHA-256 of the stream and every DelayReport field but
-wall_time_s; lazy_cells_allocated is pinned as an upper bound only, so
-a machine may use less lazy space but never more.  A change that moves
-any other field has changed what the schedules do and must say why.
+wall_time_s, lazy_cells_allocated included, exactly.  A change that
+moves any of them has changed what the schedules do and must say why.
 
 Regenerate the file (only when a change is meant to move a report) with
 
@@ -91,9 +90,6 @@ def test_reports_match_fingerprints():
     for key, g, mode, source, dedup in runs:
         got = measure(g, mode, source, dedup)
         want = expected[key]
-        lazy_cap = want["lazy_cells_allocated"]
-        if got.pop("lazy_cells_allocated") > lazy_cap:
-            mismatches.append(f"{key}: lazy cells over {lazy_cap}")
         for field, value in got.items():
             if value != want[field]:
                 mismatches.append(f"{key}: {field} {value!r} != "
@@ -102,10 +98,8 @@ def test_reports_match_fingerprints():
 
 
 def write_fingerprints():
-    """Store fresh values for the entries that moved, naming each one and
-    its moved fields first.  An entry moved when the test above would
-    flag it: a field differs, or lazy cells exceed the stored cap.  Every
-    other entry keeps its stored values, lazy cap included."""
+    """Store fresh values, naming first each entry that moved (a field
+    differs from the stored one) and its moved fields."""
     old = json.loads(DATA.read_text()) if DATA.exists() else {}
     data, moved = {}, []
     for key, g, mode, source, dedup in fingerprint_runs():
@@ -113,12 +107,10 @@ def write_fingerprints():
         want = old.get(key, {})
         fields = [f"{field} {want.get(field)!r} -> {value!r}"
                   for field, value in got.items()
-                  if field not in want
-                  or (value > want[field] if field == "lazy_cells_allocated"
-                      else value != want[field])]
+                  if value != want.get(field)]
         if fields:
             moved.append(f"{key}: " + "; ".join(fields))
-        data[key] = got if fields else want
+        data[key] = got
     moved += [f"{key}: dropped" for key in sorted(old.keys() - data.keys())]
     print(f"{len(moved)} of {len(data)} entries moved")
     for line in moved:

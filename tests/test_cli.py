@@ -64,13 +64,6 @@ def test_generate_bad_params(capsys):
     assert rc == 2 and "error" in err
 
 
-def test_generate_clique_path_over_cap(capsys, monkeypatch):
-    monkeypatch.setattr("distenum.graph.MAX_VERTICES", 10_000)
-    rc, out, err = run(capsys, "generate", "clique-path", "--k", "400")
-    assert rc == 2 and out == ""
-    assert err.startswith("error: vertex count") and err.count("\n") == 1
-
-
 def test_enumerate_sssd_path(tmp_path, capsys):
     p = tmp_path / "p.graph"
     run(capsys, "generate", "isolated-plus-edge", "--n", "2", "-o", str(p))

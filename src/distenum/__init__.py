@@ -24,10 +24,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AddressablePQ", "DelayReport", "DistanceMatrix", "DistanceTriple",
     "Enumerator", "Graph", "GraphFormatError", "INFINITE", "LazyArray",
-    "OutputMode", "ScheduleUnderflow", "StepCounter", "Violation", "bmm_multiply", "brute_force_matrix", "direct_multiply",
-    "fit_bound", "format_bool_matrix", "format_graph", "from_edge_list",
-    "gen_bmm_graph", "gen_clique_path", "gen_isolated_plus_edge",
-    "gen_random", "gen_star", "load_graph", "make_enumerator",
-    "parse_bool_matrix", "parse_graph", "run_metered", "validate",
-    "__version__",
+    "OutputMode", "ScheduleUnderflow", "StepCounter", "Violation",
+    "bmm_multiply", "brute_force_matrix", "direct_multiply", "fit_bound",
+    "format_bool_matrix", "format_graph", "from_edge_list", "gen_bmm_graph",
+    "gen_clique_path", "gen_isolated_plus_edge", "gen_random", "gen_star",
+    "load_graph", "make_enumerator", "parse_bool_matrix", "parse_graph",
+    "run_metered", "validate", "__version__",
 ]

@@ -107,7 +107,7 @@ def write_fingerprints():
         want = old.get(key, {})
         fields = [f"{field} {want.get(field)!r} -> {value!r}"
                   for field, value in got.items()
-                  if value != want.get(field)]
+                  if field not in want or value != want[field]]
         if fields:
             moved.append(f"{key}: " + "; ".join(fields))
         data[key] = got

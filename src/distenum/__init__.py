@@ -11,7 +11,7 @@ from .enumerators import (DistanceTriple, Enumerator, INFINITE, OutputMode,
                           ScheduleUnderflow, make_enumerator)
 from .graph import (Graph, GraphFormatError, from_edge_list, format_graph,
                     gen_bmm_graph, gen_clique_path, gen_isolated_plus_edge,
-                    gen_random, gen_star, load_graph, parse_graph)
+                    gen_random, gen_star, parse_graph)
 from .lazyarray import LazyArray
 from .metering import DelayReport, StepCounter, fit_bound, run_metered
 from .oracle import (DistanceMatrix, Violation, brute_force_matrix,
@@ -28,6 +28,6 @@ __all__ = [
     "bmm_multiply", "brute_force_matrix", "direct_multiply", "fit_bound",
     "format_bool_matrix", "format_graph", "from_edge_list", "gen_bmm_graph",
     "gen_clique_path", "gen_isolated_plus_edge", "gen_random", "gen_star",
-    "load_graph", "make_enumerator", "parse_bool_matrix", "parse_graph",
-    "run_metered", "validate", "__version__",
+    "make_enumerator", "parse_bool_matrix", "parse_graph", "run_metered",
+    "validate", "__version__",
 ]

@@ -18,16 +18,18 @@ import sys
 from .bmm import bmm_multiply
 from .enumerators import OutputMode, ScheduleUnderflow, make_enumerator
 from .graph import (format_graph, gen_clique_path, gen_isolated_plus_edge,
-                    gen_random, gen_star, load_graph, parse_graph)
+                    gen_random, gen_star, parse_graph)
 from .metering import Meter, run_metered
 from .oracle import (brute_force_matrix, direct_multiply, format_bool_matrix,
                      parse_bool_matrix, validate)
 
 
-def _read_graph(path: str):
+def _read_text(path: str) -> str:
+    """The text of the file at path, or of stdin for -."""
     if path == "-":
-        return parse_graph(sys.stdin.read())
-    return load_graph(path)
+        return sys.stdin.read()
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -79,9 +81,10 @@ def cmd_generate(args) -> int:
         if args.weights:
             weights = [int(x) for x in args.weights.split(",")]
         else:
+            # drawn lazily: gen_star checks n before taking any
             rng = random.Random(args.seed)
-            weights = [rng.randint(1, args.max_weight)
-                       for _ in range(args.n - 1)]
+            weights = (rng.randint(1, args.max_weight)
+                       for _ in range(args.n - 1))
         g = gen_star(args.n, weights)
     elif args.family == "random":
         g = gen_random(args.n, args.m, directed=args.directed,
@@ -100,7 +103,7 @@ WRITE_CHUNK = 512
 
 
 def cmd_enumerate(args) -> int:
-    g = _read_graph(args.graph)
+    g = parse_graph(_read_text(args.graph))
     enum = make_enumerator(g, _mode_of(args), source=args.source,
                            dedup=args.dedup)
     meter = Meter(enum) if args.report else None
@@ -117,7 +120,7 @@ def cmd_enumerate(args) -> int:
 # -- verify -----------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    g = _read_graph(args.graph)
+    g = parse_graph(_read_text(args.graph))
     mode = _mode_of(args)
     enum = make_enumerator(g, mode, source=args.source, dedup=args.dedup)
     triples, report = run_metered(enum)
@@ -152,8 +155,8 @@ def _bench_graph(family: str, size: int, args):
         return gen_clique_path(size)
     if family == "star":
         rng = random.Random(args.seed)
-        return gen_star(size, [rng.randint(1, max(1, size))
-                               for _ in range(size - 1)])
+        return gen_star(size, (rng.randint(1, max(1, size))
+                               for _ in range(size - 1)))
     if family == "random":
         return gen_random(size, 4 * size, directed=args.directed,
                           max_weight=args.max_weight, seed=args.seed)
@@ -195,16 +198,9 @@ def cmd_bench(args) -> int:
 
 # -- bmm --------------------------------------------------------------------
 
-def _read_matrix(path: str):
-    if path == "-":
-        return parse_bool_matrix(sys.stdin.read())
-    with open(path, encoding="utf-8") as fh:
-        return parse_bool_matrix(fh.read())
-
-
 def cmd_bmm(args) -> int:
-    a = _read_matrix(args.a)
-    b = _read_matrix(args.b)
+    a = parse_bool_matrix(_read_text(args.a))
+    b = parse_bool_matrix(_read_text(args.b))
     got = bmm_multiply(a, b)
     _write_text(format_bool_matrix(got), args.output)
     if args.check:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .base import HEAD_BUDGET, Enumerator, IDLE, base_avg_degree
+from .base import HEAD_BUDGET, Enumerator, base_avg_degree
 from .searches import (cheapest_out_arc, fan_row, has_out_arc, reuse_arrays,
                        search, unit_arcs)
 from ..lazyarray import LazyArray
@@ -76,8 +76,6 @@ class RowSearchEnumerator(Enumerator):
         sweep = not self.mode.reachable_only
         arrays = []
         for s in sources:
-            while len(self.q) >= self.qcap:
-                yield IDLE
             reuse_arrays(self, arrays)
             if c.total >= c.deadline:
                 yield
@@ -121,8 +119,6 @@ class UnconstrainedApsdEnumerator(Enumerator):
         sources = _balanced_order(range(n)) if self.dedup else range(n)
         arrays = []
         for s in sources:
-            while len(self.q) >= self.qcap:
-                yield IDLE
             reuse_arrays(self, arrays)
             if c.total >= c.deadline:
                 yield
@@ -246,8 +242,6 @@ class NoSelfApsdEnumerator(Enumerator):
         seen = 0
         marks = []
         for s in self._cursor_order():
-            while len(self.q) >= self.qcap:
-                yield IDLE
             c.total += 1
             deg = offsets[s + 1] - offsets[s]
             seen += deg
@@ -268,8 +262,6 @@ class NoSelfApsdEnumerator(Enumerator):
     def _weighted_cursor(self):
         g, c = self.graph, self.counter
         for s in self._cursor_order():
-            while len(self.q) >= self.qcap:
-                yield IDLE
             c.total += 1
             if c.total >= c.deadline:
                 yield

@@ -9,12 +9,11 @@ pull costs one generator resume and still stops at the exact step the
 budget runs out.  A budget that moves mid-pull moves the deadline too.
 An emit may also ask for a suspension: after an emit that returns
 True, the emit site suspends the machine at its next check.
-Machines bank solutions ahead of schedule in the queue; if a budget
-ever expires with nothing banked and the machine still running, the
-schedule's accounting is broken and pull raises ScheduleUnderflow.  A
-machine may yield IDLE when all its remaining work is production-capped
-(the queue is full enough); the pull then stops early, which can only
-shorten the observed delay.
+Machines bank solutions ahead of schedule in the queue, up to a cap
+linear in n; the emit that fills the queue to the cap asks, and the
+pull then stops early, which can only shorten the observed delay.  If a
+budget ever expires with nothing banked and the machine still running,
+the schedule's accounting is broken and pull raises ScheduleUnderflow.
 
 Budgets are integers computed from degree statistics seen so far, so
 they are available to the machine itself and grow monotonically during
@@ -34,8 +33,6 @@ from ..graph import Graph
 from ..metering import NEVER, StepCounter
 
 INFINITE = math.inf
-
-IDLE = object()
 
 
 class DistanceTriple(NamedTuple):
@@ -147,12 +144,11 @@ class Enumerator:
             try:
                 while counter.total - start < self._budget_cached:
                     try:
-                        if next(machine) is IDLE:
-                            break
+                        next(machine)
                     except StopIteration:
                         self._machine = None
                         break
-                    if self._paced_stop:
+                    if self._paced_stop or len(self.q) >= self.qcap:
                         break
             finally:
                 # Between pulls nothing may suspend on this pull's
@@ -201,20 +197,17 @@ class Enumerator:
     def _run(self):
         """The machine: a generator of counted work.  It checks the
         counter's deadline at each instrumented step and suspends once the
-        deadline is reached, right after an emit that returns True, or to
-        yield IDLE."""
+        deadline is reached or right after an emit that returns True."""
         raise NotImplementedError
 
     def _refresh_budget(self) -> None:
         # The default budget tracks the largest degree seen; regimes
         # stated against the average degree override this and bound_base.
+        # Weighted runs add the heap's log factor.
         d = self._dmax_seen
-        coeff = self._per_degree * self._budget_scale
-        if self.graph.weighted:
-            ell = log2_ceil(self.graph.n)
-            self._budget_cached = coeff * ((d + 1) * (1 + ell) + ell)
-        else:
-            self._budget_cached = coeff * (d + 1)
+        ell = log2_ceil(self.graph.n) if self.graph.weighted else 0
+        self._budget_cached = self._per_degree * self._budget_scale \
+            * ((d + 1) * (1 + ell) + ell)
 
     def _dedup_key_fn(self):
         return lambda v: v
@@ -223,16 +216,21 @@ class Enumerator:
 
     def _emit(self, u: int, v: int, d) -> bool:
         """Bank (u, v, d) unless the dedup filter drops it.  Return True
-        when the machine must suspend right after this visit: paced dedup
-        machines ask to end the pull, the no-self machine asks at its
-        refill mark (and a sorted pool instance's emit always asks)."""
+        when the machine must suspend right after this visit: the append
+        that fills the queue to its cap asks (pull then ends the pull),
+        paced dedup machines ask to end the pull, the no-self machine
+        asks at its refill mark (and a sorted pool instance's emit always
+        asks)."""
         self._produced_in_pull += 1
         key = self._keep_key
         if key is None or key(u) <= key(v):
             self.counter.total += 1
-            self.q.append(DistanceTriple(u, v, d))
-            if len(self.q) > self.peak_queue:
-                self.peak_queue = len(self.q)
+            q = self.q
+            q.append(DistanceTriple(u, v, d))
+            if len(q) > self.peak_queue:
+                self.peak_queue = len(q)
+            if len(q) >= self.qcap:
+                return True
         # Paced machines fund two production slots per pull (one kept,
         # one filtered on average) instead of burning the whole doubled
         # budget, which would inflate the observed delay far past twice
@@ -263,22 +261,16 @@ class Enumerator:
         n, coeff = self.graph.n, PER_AVG_DEGREE
         if n == 0:
             return coeff * self._budget_scale
-        if self.graph.weighted:
-            ell = log2_ceil(n)
-            return ceil_div(coeff * (degree_sum + n) * (1 + ell), n) * self._budget_scale
-        return ceil_div(coeff * (degree_sum + n), n) * self._budget_scale
+        ell = log2_ceil(n) if self.graph.weighted else 0
+        return ceil_div(coeff * (degree_sum + n) * (1 + ell), n) \
+            * self._budget_scale
 
 
 def base_max_degree(graph: Graph) -> Fraction:
-    stats = graph.stats()
-    if graph.weighted:
-        ell = log2_ceil(graph.n)
-        return Fraction(stats.max_degree * (1 + ell) + ell)
-    return Fraction(stats.max_degree)
+    ell = log2_ceil(graph.n) if graph.weighted else 0
+    return Fraction(graph.stats().max_degree * (1 + ell) + ell)
 
 
 def base_avg_degree(graph: Graph) -> Fraction:
-    stats = graph.stats()
-    if graph.weighted:
-        return stats.avg_degree + log2_ceil(graph.n)
-    return stats.avg_degree
+    ell = log2_ceil(graph.n) if graph.weighted else 0
+    return graph.stats().avg_degree + ell

@@ -7,20 +7,20 @@ at its next check after an emit that returns True.  bfs_search and
 dijkstra_search hand visits, in hop or weight order, to an emit(s, v,
 d) callable: linear machines pass the enumerator's _emit (bank in the
 solution queue), a sorted pool instance one that parks the triple for
-the pool's driver and returns True.
-Unless told otherwise a search backs off (yields IDLE) while the queue
-is at capacity, so banked output stays linear in n, and ends with a
-sweep that reports unreached targets.  Sequential machines keep one
-array set per run and reset it per source (reuse_arrays).  Each scan
-below serves several machines with the same steps and suspension points;
-unit_arcs is the unweighted cursors' distance-1 scan, which marks heads
-so parallel arcs give one pair.
+the pool's driver and returns True.  The enumerator's _emit also asks
+on the append that fills the queue to its cap, so banked output stays
+linear in n with no check of its own here.  Unless told otherwise a
+search ends with a sweep that reports unreached targets.  Sequential
+machines keep one array set per run and reset it per source
+(reuse_arrays).  Each scan below serves several machines with the same
+steps and suspension points; unit_arcs is the unweighted cursors'
+distance-1 scan, which marks heads so parallel arcs give one pair.
 """
 from __future__ import annotations
 
 from collections import deque
 
-from .base import IDLE, INFINITE
+from .base import INFINITE
 from ..lazyarray import LazyArray
 from ..pq import AddressablePQ
 
@@ -43,8 +43,7 @@ def reuse_arrays(enum, arrays: list) -> None:
 
 
 def search(enum, s: int, arrays, emit, *, skip_le: int = -1,
-           skip_target: int | None = None, sweep: bool = True,
-           backoff: bool = True):
+           skip_target: int | None = None, sweep: bool = True):
     """The graph's search from s on arrays: BFS or Dijkstra.
 
     skip_le is bfs_search's; a weighted search reads any skip_le >= 0 as
@@ -52,14 +51,12 @@ def search(enum, s: int, arrays, emit, *, skip_le: int = -1,
     """
     if enum.graph.weighted:
         return dijkstra_search(enum, s, *arrays, emit, skip_self=skip_le >= 0,
-                               skip_target=skip_target, sweep=sweep,
-                               backoff=backoff)
-    return bfs_search(enum, s, arrays[0], emit, skip_le=skip_le, sweep=sweep,
-                      backoff=backoff)
+                               skip_target=skip_target, sweep=sweep)
+    return bfs_search(enum, s, arrays[0], emit, skip_le=skip_le, sweep=sweep)
 
 
 def bfs_search(enum, s: int, dist: LazyArray, emit, *, skip_le: int = -1,
-               sweep: bool = True, backoff: bool = True):
+               sweep: bool = True):
     """Breadth-first search from s, emitting visits with hop distance.
 
     skip_le suppresses emissions with distance <= skip_le (-1 emits all,
@@ -74,8 +71,6 @@ def bfs_search(enum, s: int, dist: LazyArray, emit, *, skip_le: int = -1,
     if counter.total >= counter.deadline:
         yield
     while frontier:
-        while backoff and len(enum.q) >= enum.qcap:
-            yield IDLE
         counter.total += 1
         v = frontier.popleft()
         dv = dist.read(v)
@@ -101,8 +96,7 @@ def bfs_search(enum, s: int, dist: LazyArray, emit, *, skip_le: int = -1,
 
 def dijkstra_search(enum, s: int, dist: LazyArray, settled: LazyArray,
                     handles: LazyArray, emit, *, skip_self: bool = False,
-                    skip_target: int | None = None, sweep: bool = True,
-                    backoff: bool = True):
+                    skip_target: int | None = None, sweep: bool = True):
     """Best-first search from s, emitting settles in distance order."""
     g = enum.graph
     counter = enum.counter
@@ -114,8 +108,6 @@ def dijkstra_search(enum, s: int, dist: LazyArray, settled: LazyArray,
     if counter.total >= counter.deadline:
         yield
     while pq:
-        while backoff and len(enum.q) >= enum.qcap:
-            yield IDLE
         d, v = yield from pq.extract_min_g()
         settled.write(v, 1)
         enum._see_degree(offsets[v + 1] - offsets[v])
@@ -151,8 +143,6 @@ def sweep_unreached(enum, s: int, dist: LazyArray):
     """Emit (s, t, inf) for every t that a finished search from s left unset."""
     counter = enum.counter
     for t in range(enum.graph.n):
-        while len(enum.q) >= enum.qcap:
-            yield IDLE
         counter.total += 1
         stop = dist.read(t) is None and enum._emit(s, t, INFINITE)
         if stop or counter.total >= counter.deadline:
@@ -163,8 +153,6 @@ def fan_row(enum, s: int):
     """Emit (s, t, inf) for every t != s: the row of a vertex with no way out."""
     counter = enum.counter
     for t in range(enum.graph.n):
-        while len(enum.q) >= enum.qcap:
-            yield IDLE
         counter.total += 1
         stop = t != s and enum._emit(s, t, INFINITE)
         if stop or counter.total >= counter.deadline:

@@ -2,8 +2,8 @@
 
 One search instance per source runs lazily; one driver, _drive,
 interleaves them so the merged stream comes out in non-decreasing
-distance order.  An instance runs the shared search from searches.py
-without queue back-off, parking each visit until the driver takes it.
+distance order.  An instance runs the shared search from searches.py,
+parking each visit until the driver takes it.
 The driver resumes an instance's search itself, inline, so a visit costs
 no generator of its own.  The pool holding the instances decides which
 one goes next.
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .base import PER_POOL_DEGREE, Enumerator, INFINITE, IDLE
+from .base import PER_POOL_DEGREE, Enumerator, INFINITE
 from .searches import (cheapest_out_arc, components, fan_row, has_out_arc,
                        search, search_arrays, sweep_unreached, unit_arcs)
 from ..pq import AddressablePQ, drain
@@ -67,16 +67,16 @@ class _SortedBase(Enumerator):
     # -- per-source search instances --------------------------------------
 
     def _new_instance(self, s, skip_le):
-        # The pool's driver watches the queue cap itself, so an instance
-        # must never back off.  The search suspends after each parked
-        # visit (the instance's emit returns True) and otherwise only at
-        # the deadline, where the driver suspends in turn.  The instance
-        # is its own emit: a bound method per instance slowed setup by
-        # about 40%.
+        # An instance never touches the queue: the driver banks its
+        # visits, and the driver's _emit asks at the queue cap.  The
+        # search suspends after each parked visit (the instance's emit
+        # returns True) and otherwise only at the deadline, where the
+        # driver suspends in turn.  The instance is its own emit: a bound
+        # method per instance slowed setup by about 40%.
         arrays = search_arrays(self)
         inst = _Instance(s, arrays[0])
         inst.gen = search(self, s, arrays, inst, skip_le=skip_le,
-                          sweep=False, backoff=False)
+                          sweep=False)
         self._instances.append(inst)
         return inst
 
@@ -93,8 +93,6 @@ class _SortedBase(Enumerator):
         c = self.counter
         heap = self.graph.weighted
         while pool:
-            while len(self.q) >= self.qcap:
-                yield IDLE
             if heap:
                 _key, inst = yield from pool.extract_min_g()
             else:
@@ -113,8 +111,7 @@ class _SortedBase(Enumerator):
                     break
                 last, inst.pending = inst.pending, None
                 c.total += 1
-                self._emit(*last)
-                if c.total >= c.deadline:
+                if self._emit(*last) or c.total >= c.deadline:
                     yield
             nxt = inst.pending
             if heap:
@@ -157,11 +154,8 @@ class _SortedBase(Enumerator):
                 if cid == cs:
                     continue
                 for t in bucket:
-                    while len(self.q) >= self.qcap:
-                        yield IDLE
                     c.total += 1
-                    self._emit(s, t, INFINITE)
-                    if c.total >= c.deadline:
+                    if self._emit(s, t, INFINITE) or c.total >= c.deadline:
                         yield
 
     def _inf_directed(self):
@@ -200,8 +194,7 @@ class SortedApsdEnumerator(_SortedBase):
             d = g.degree(v)
             if d > dmax:
                 dmax = d
-            self._emit(v, v, 0)
-            if c.total >= c.deadline:
+            if self._emit(v, v, 0) or c.total >= c.deadline:
                 yield
         self._dmax_seen = dmax
         self._budget_moved()
@@ -302,8 +295,6 @@ class SortedNoSelfApsdEnumerator(_SortedBase):
         # enough output to fund instance setup.
         marks = []
         for s in self._sources:
-            while len(self.q) >= self.qcap:
-                yield IDLE
             self.counter.total += 1
             yield from unit_arcs(self, s, marks)
         for arr in marks:

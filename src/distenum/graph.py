@@ -233,11 +233,6 @@ def parse_graph(text: str, *, weight_cap_exponent: int = DEFAULT_WEIGHT_CAP_EXPO
                           weight_cap_exponent=weight_cap_exponent)
 
 
-def load_graph(path) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
-
-
 # ---------------------------------------------------------------------------
 # generators
 
@@ -264,13 +259,17 @@ def gen_clique_path(k: int) -> Graph:
     return from_edge_list(n, edges, directed=False)
 
 
-def gen_star(n: int, weights: Sequence[int]) -> Graph:
-    """Weighted star: center 0 joined to 1..n-1 with the given weights."""
+def gen_star(n: int, weights: Iterable[int]) -> Graph:
+    """Weighted star: center 0 joined to 1..n-1 with the given weights.
+
+    weights is consumed only once n has passed the vertex-count check.
+    """
+    _check_vertex_count(n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if len(weights) != n - 1:
-        raise ValueError(f"need {n - 1} weights for n={n}, got {len(weights)}")
     edges = [(0, i + 1, int(w)) for i, w in enumerate(weights)]
+    if len(edges) != n - 1:
+        raise ValueError(f"need {n - 1} weights for n={n}, got {len(edges)}")
     return from_edge_list(n, edges, directed=False, weighted=True)
 
 
@@ -308,8 +307,9 @@ def gen_isolated_plus_edge(n: int) -> Graph:
 def gen_random(n: int, m: int, *, directed: bool = False, max_weight: int = 0,
                seed: int = 0) -> Graph:
     """Uniform simple random graph with m edges; weighted iff max_weight > 0."""
-    if n < 0 or m < 0:
-        raise ValueError("n and m must be non-negative")
+    _check_vertex_count(n)  # before sampling m pairs
+    if m < 0:
+        raise ValueError(f"m must be non-negative, got {m}")
     limit = n * (n - 1) if directed else n * (n - 1) // 2
     if m > limit:
         raise ValueError(f"m={m} infeasible for n={n} ({'directed' if directed else 'undirected'})")

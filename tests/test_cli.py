@@ -64,6 +64,14 @@ def test_generate_bad_params(capsys):
     assert rc == 2 and "error" in err
 
 
+def test_generate_star_over_cap_is_usage_error(capsys, monkeypatch):
+    # The spoke weights are drawn only after the vertex count passes.
+    monkeypatch.setattr("distenum.graph.MAX_VERTICES", 10_000)
+    rc, out, err = run(capsys, "generate", "star", "--n", "1000000")
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "exceeds the cap" in err
+
+
 def test_enumerate_sssd_path(tmp_path, capsys):
     p = tmp_path / "p.graph"
     run(capsys, "generate", "isolated-plus-edge", "--n", "2", "-o", str(p))

@@ -1,5 +1,6 @@
 """Graph construction, format round-trips, and the generator families."""
 import hashlib
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -173,14 +174,21 @@ def test_clique_path_shape():
         gen_clique_path(2)
 
 
-def test_clique_path_checks_cap_before_building(monkeypatch):
-    # An over-cap k is rejected before its ~1.5 * k * k edges exist;
-    # building them first peaks at about 25 MB for k = 400.
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: gen_clique_path(400), id="clique-path"),
+    pytest.param(lambda: gen_random(200_000, 800_000), id="random"),
+    pytest.param(lambda: gen_star(1_000_000, itertools.repeat(1, 999_999)),
+                 id="star"),
+])
+def test_generators_check_cap_before_building(monkeypatch, build):
+    # An over-cap size is rejected before its edges exist; building them
+    # first peaks at about 25 MB for the clique path (k = 400), 164 MB
+    # for the random graph and 107 MB for the star (weights in a list).
     monkeypatch.setattr("distenum.graph.MAX_VERTICES", 10_000)
     tracemalloc.start()
     try:
         with pytest.raises(GraphFormatError, match="exceeds the cap"):
-            gen_clique_path(400)
+            build()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -97,6 +97,18 @@ def test_reports_match_fingerprints():
     assert not mismatches, "\n".join(mismatches[:20])
 
 
+def test_queue_never_exceeds_cap():
+    # The append that fills the queue to its cap asks the machine to
+    # suspend and ends the pull, so no run ever banks past the cap.
+    over = []
+    for key, g, mode, source, dedup in fingerprint_runs():
+        enum = make_enumerator(g, mode, source=source, dedup=dedup)
+        run_metered(enum, keep_triples=False)
+        if enum.peak_queue > enum.qcap:
+            over.append(f"{key}: {enum.peak_queue} > {enum.qcap}")
+    assert not over, "\n".join(over)
+
+
 def write_fingerprints():
     """Store fresh values, naming first each entry that moved (a field
     differs from the stored one) and its moved fields."""

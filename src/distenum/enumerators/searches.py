@@ -15,6 +15,15 @@ machines keep one array set per run and reset it per source
 (reuse_arrays).  Each scan below serves several machines with the same
 steps and suspension points; unit_arcs is the unweighted cursors'
 distance-1 scan, which marks heads so parallel arcs give one pair.
+
+Headroom blocks.  A stretch with a known worst case and no emit runs
+unchecked, its steps charged in one add, when the budget left in the
+pull is strictly larger than that worst case: per arc 4 steps in a BFS
+scan and 4 + bit_length(len(pq) + deg) in a Dijkstra scan, 2 per
+written sweep cell.  A search moves its budget only at _see_degree,
+before a scan, so no block reaches the deadline and each pull stops
+where the checked loop would.  No block spans an emit, which may ask to
+suspend.  Blocks test lazy cells inline and use plain heap operations.
 """
 from __future__ import annotations
 
@@ -22,6 +31,7 @@ from collections import deque
 
 from .base import INFINITE
 from ..lazyarray import LazyArray
+from ..metering import NEVER
 from ..pq import AddressablePQ
 
 
@@ -65,28 +75,43 @@ def bfs_search(enum, s: int, dist: LazyArray, emit, *, skip_le: int = -1,
     g = enum.graph
     counter = enum.counter
     offsets, targets = g.offsets, g.targets
+    index, back, value = dist._index, dist._back, dist._value
     dist.write(s, 0)
     counter.total += 1
     frontier = deque([s])
     if counter.total >= counter.deadline:
         yield
     while frontier:
-        counter.total += 1
         v = frontier.popleft()
-        dv = dist.read(v)
-        enum._see_degree(offsets[v + 1] - offsets[v])
+        dv = value[index[v]]    # written before v joined the frontier
+        counter.total += 2      # the pop and the read
+        lo, hi = offsets[v], offsets[v + 1]
+        enum._see_degree(hi - lo)
         if counter.total >= counter.deadline:
             yield
         nd = dv + 1
-        for i in range(offsets[v], offsets[v + 1]):
-            counter.total += 1
-            w = targets[i]
-            if dist.read(w) is None:
-                dist.write(w, nd)
+        if counter.deadline - counter.total > 4 * (hi - lo):
+            wc = old = dist.written_count
+            for w in targets[lo:hi]:
+                p = index[w]
+                if not (0 <= p < wc and back[p] == w):
+                    index[w] = wc
+                    back[wc] = w
+                    value[wc] = nd
+                    wc += 1
+                    frontier.append(w)
+            dist.written_count = wc
+            counter.total += 2 * (hi - lo + wc - old)
+        else:
+            for i in range(lo, hi):
                 counter.total += 1
-                frontier.append(w)
-            if counter.total >= counter.deadline:
-                yield
+                w = targets[i]
+                if dist.read(w) is None:
+                    dist.write(w, nd)
+                    counter.total += 1
+                    frontier.append(w)
+                if counter.total >= counter.deadline:
+                    yield
         parked = dv > skip_le and emit(s, v, dv)
         if parked or counter.total >= counter.deadline:
             yield
@@ -101,36 +126,55 @@ def dijkstra_search(enum, s: int, dist: LazyArray, settled: LazyArray,
     g = enum.graph
     counter = enum.counter
     offsets, targets, weights = g.offsets, g.targets, g.weights
+    s_index, s_back = settled._index, settled._back
     pq = AddressablePQ(counter)
     dist.write(s, 0)
-    h = yield from pq.insert_g(0, s)
-    handles.write(s, h)
+    handles.write(s, pq.insert(0, s))   # into an empty heap: no comparison
     if counter.total >= counter.deadline:
         yield
     while pq:
-        d, v = yield from pq.extract_min_g()
+        if counter.deadline - counter.total > 2 * len(pq).bit_length() - 2:
+            d, v = pq.extract_min()
+        else:
+            d, v = yield from pq.extract_min_g()
         settled.write(v, 1)
-        enum._see_degree(offsets[v + 1] - offsets[v])
+        lo, hi = offsets[v], offsets[v + 1]
+        deg = hi - lo
+        enum._see_degree(deg)
         if counter.total >= counter.deadline:
             yield
-        for i in range(offsets[v], offsets[v + 1]):
-            counter.total += 1
-            w = targets[i]
-            if settled.read(w) is not None:
+        if counter.deadline - counter.total \
+                > deg * (4 + (len(pq) + deg).bit_length()):
+            s_wc = settled.written_count
+            for i in range(lo, hi):
+                w = targets[i]
+                p = s_index[w]
+                if not (0 <= p < s_wc and s_back[p] == w):
+                    nd = d + weights[i]
+                    dw = dist.read(w)
+                    if dw is None:
+                        dist.write(w, nd)
+                        handles.write(w, pq.insert(nd, w))
+                    elif nd < dw:
+                        dist.write(w, nd)
+                        pq.decrease_key(handles.read(w), nd)
+            counter.total += 2 * deg    # each arc and its settled test
+        else:
+            for i in range(lo, hi):
+                counter.total += 1
+                w = targets[i]
+                if settled.read(w) is None:
+                    nd = d + weights[i]
+                    dw = dist.read(w)
+                    if dw is None:
+                        dist.write(w, nd)
+                        hw = yield from pq.insert_g(nd, w)
+                        handles.write(w, hw)
+                    elif nd < dw:
+                        dist.write(w, nd)
+                        yield from pq.decrease_key_g(handles.read(w), nd)
                 if counter.total >= counter.deadline:
                     yield
-                continue
-            nd = d + weights[i]
-            dw = dist.read(w)
-            if dw is None:
-                dist.write(w, nd)
-                hw = yield from pq.insert_g(nd, w)
-                handles.write(w, hw)
-            elif nd < dw:
-                dist.write(w, nd)
-                yield from pq.decrease_key_g(handles.read(w), nd)
-            if counter.total >= counter.deadline:
-                yield
         parked = (v != s or not skip_self) and v != skip_target \
             and emit(s, v, d)
         if parked or counter.total >= counter.deadline:
@@ -142,11 +186,24 @@ def dijkstra_search(enum, s: int, dist: LazyArray, settled: LazyArray,
 def sweep_unreached(enum, s: int, dist: LazyArray):
     """Emit (s, t, inf) for every t that a finished search from s left unset."""
     counter = enum.counter
-    for t in range(enum.graph.n):
+    n = enum.graph.n
+    index, back = dist._index, dist._back
+    t = 0
+    while t < n:
+        room = counter.deadline - counter.total
+        end = n if room == NEVER else min(n, t + (room - 1) // 2)
+        wc = dist.written_count
+        start = t
+        while t < end and 0 <= (p := index[t]) < wc and back[p] == t:
+            t += 1
+        counter.total += 2 * (t - start)
+        if t == n:
+            return
         counter.total += 1
         stop = dist.read(t) is None and enum._emit(s, t, INFINITE)
         if stop or counter.total >= counter.deadline:
             yield
+        t += 1
 
 
 def fan_row(enum, s: int):

@@ -93,10 +93,12 @@ class _SortedBase(Enumerator):
         c = self.counter
         heap = self.graph.weighted
         while pool:
-            if heap:
-                _key, inst = yield from pool.extract_min_g()
-            else:
+            if not heap:
                 inst = pool[0]
+            elif c.deadline - c.total > 2 * len(pool).bit_length() - 2:
+                _key, inst = pool.extract_min()
+            else:
+                _key, inst = yield from pool.extract_min_g()
             gen = inst.gen
             last = None
             while True:
@@ -115,7 +117,11 @@ class _SortedBase(Enumerator):
                     yield
             nxt = inst.pending
             if heap:
-                if nxt is not None:
+                if nxt is None:
+                    continue    # search over: drop the instance
+                if c.deadline - c.total > len(pool).bit_length():
+                    pool.insert(nxt[2], inst)
+                else:
                     yield from pool.insert_g(nxt[2], inst)
             elif nxt is None or nxt[2] != last[2]:
                 # Search over: pop it; past the level: rotate to the back.

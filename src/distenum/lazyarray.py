@@ -19,6 +19,11 @@ the array's cells from the live total.
 reset() zeroes written_count, the O(1) clear of Briggs & Torczon's sparse
 set (1993), and costs one counted step, as allocation does: stale
 pointers then fail the back-pointer test like any garbage.
+
+Inline cell tests: enumerators/searches.py, and only it, reads these
+fields directly in its hot loops: it applies the test above itself,
+writes new cells as write() does and charges the same counted steps in
+one add.
 """
 from __future__ import annotations
 

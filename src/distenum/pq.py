@@ -4,12 +4,16 @@ Every insert returns a handle that stays valid until the entry is
 extracted.  Handles count inserts from 0, so a handle is its entry's
 insertion order; key ties break on the handle (first inserted wins), and
 extraction order is deterministic.  Each key comparison charges one
-counted step.  The generator variants of the operations check the
-counter's deadline after every comparison and suspend only once it is
-reached, so an enumerator machine can stop inside a heap operation at
-the exact step its pull budget runs out.  Extraction performs at most
-2 * ceil(log2(size)) comparisons, insert and decrease_key at most
-ceil(log2(size)).
+counted step.  Extraction performs at most 2 * ceil(log2(size))
+comparisons, insert and decrease_key at most ceil(log2(size)).
+
+Each operation has a plain variant (insert, decrease_key, extract_min,
+build), a loop with no deadline check, and a generator variant (the _g
+names) that checks the deadline after every comparison and suspends once
+it is reached, so a pull can stop inside a heap operation at the exact
+step its budget runs out.  Both make the same comparisons and charge the
+same steps.  Callers run the plain one outside a pull, and inside one
+only when the budget left exceeds the operation's worst case.
 """
 from __future__ import annotations
 
@@ -52,72 +56,128 @@ class AddressablePQ:
     # -- plain operations -------------------------------------------------
 
     def insert(self, key, payload=None) -> int:
-        return drain(self.insert_g(key, payload))
+        h = self._new_entry(key, payload)
+        self._sift_up(len(self._heap) - 1)
+        return h
 
     def decrease_key(self, handle: int, key) -> None:
-        drain(self.decrease_key_g(handle, key))
+        self._sift_up(self._set_key(handle, key))
 
     def extract_min(self):
         """Remove and return the minimal (key, payload), or None if empty."""
-        return drain(self.extract_min_g())
+        if not self._heap:
+            return None
+        h = self._pop_root()
+        if self._heap:
+            self._sift_down(0)
+        return self._keys[h], self._payloads[h]
 
     def build(self, items) -> list[int]:
         """Bulk-load (key, payload) pairs; linear comparison count."""
         if self._heap:
             raise ValueError("build requires an empty queue")
-        handles = []
-        for key, payload in items:
-            h = self._new_entry(key, payload)
-            self._pos[h] = len(self._heap)
-            self._heap.append(h)
-            handles.append(h)
+        handles = [self._new_entry(key, payload) for key, payload in items]
         for i in reversed(range(len(self._heap) // 2)):
-            drain(self._sift_down_g(i))
+            self._sift_down(i)
         return handles
 
     # -- generator operations (deadline checked per comparison) -----------
 
     def insert_g(self, key, payload=None):
         h = self._new_entry(key, payload)
-        i = len(self._heap)
-        self._pos[h] = i
-        self._heap.append(h)
-        yield from self._sift_up_g(i)
+        yield from self._sift_up_g(len(self._heap) - 1)
         return h
 
     def decrease_key_g(self, handle: int, key):
-        self._check_live(handle)
-        if key > self._keys[handle]:
-            raise ValueError(
-                f"decrease_key to larger key {key!r} (current {self._keys[handle]!r})")
-        self._keys[handle] = key
-        yield from self._sift_up_g(self._pos[handle])
+        yield from self._sift_up_g(self._set_key(handle, key))
 
     def extract_min_g(self):
-        heap = self._heap
-        if not heap:
+        if not self._heap:
             return None
-        h = heap[0]
-        last = heap.pop()
-        if heap:
-            heap[0] = last
-            self._pos[last] = 0
-            yield from self._sift_down_g(0)
-        self._pos[h] = -1
+        h = self._pop_root()
+        yield from self._sift_down_g(0)
         return self._keys[h], self._payloads[h]
 
     # -- internals --------------------------------------------------------
 
     def _new_entry(self, key, payload) -> int:
+        """Append a new entry at the bottom of the heap; return its handle."""
         h = len(self._keys)
         self._keys.append(key)
         self._payloads.append(payload)
-        self._pos.append(-1)
+        self._pos.append(len(self._heap))
+        self._heap.append(h)
+        return h
+
+    def _set_key(self, handle: int, key) -> int:
+        """Lower a live entry's key; return its heap position."""
+        self._check_live(handle)
+        if key > self._keys[handle]:
+            raise ValueError(
+                f"decrease_key to larger key {key!r} (current {self._keys[handle]!r})")
+        self._keys[handle] = key
+        return self._pos[handle]
+
+    def _pop_root(self) -> int:
+        """Detach the root's handle and move the last entry into its place."""
+        heap = self._heap
+        h = heap[0]
+        last = heap.pop()
+        if heap:
+            heap[0] = last
+            self._pos[last] = 0
+        self._pos[h] = -1
         return h
 
     def _check_live(self, handle: int) -> None:
         if not 0 <= handle < len(self._keys) or self._pos[handle] < 0:
             raise ValueError(f"handle {handle} is not live")
+
+    def _sift_up(self, i: int) -> None:
+        heap, pos, keys = self._heap, self._pos, self._keys
+        h = heap[i]
+        k = keys[h]
+        steps = 0
+        while i > 0:
+            parent = (i - 1) >> 1
+            hp = heap[parent]
+            kp = keys[hp]
+            steps += 1
+            if not (k < kp if k != kp else h < hp):
+                break
+            heap[i] = hp
+            pos[hp] = i
+            i = parent
+        heap[i] = h
+        pos[h] = i
+        self.counter.total += steps
+
+    def _sift_down(self, i: int) -> None:
+        heap, pos, keys = self._heap, self._pos, self._keys
+        n = len(heap)
+        child = 2 * i + 1
+        h = heap[i]
+        k = keys[h]
+        steps = 0
+        while child < n:
+            hc = heap[child]
+            kc = keys[hc]
+            if child + 1 < n:
+                hr = heap[child + 1]
+                kr = keys[hr]
+                steps += 1
+                if kr < kc if kr != kc else hr < hc:
+                    child, hc, kc = child + 1, hr, kr
+            steps += 1
+            if not (kc < k if kc != k else hc < h):
+                break
+            heap[i] = hc
+            pos[hc] = i
+            i = child
+            child = 2 * i + 1
+        heap[i] = h
+        pos[h] = i
+        self.counter.total += steps
 
     def _sift_up_g(self, i: int):
         heap, pos, keys = self._heap, self._pos, self._keys

@@ -1,0 +1,270 @@
+"""Headroom blocks: stretches run unchecked stop exactly where checks would.
+
+A search runs an arc scan or a run of written sweep cells without
+deadline checks, and a heap operation in its plain form, only when the
+budget left in the pull is strictly larger than the stretch's worst
+case.  So at every deadline a search or heap operation must first
+suspend at the same counted total as on EveryStepCounter, whose deadline
+is always passed, which never takes a block and which suspends at every
+check.  The graphs are small enough to try every budget, and each has a
+stretch whose worst case is met exactly, so a guard that let a block run
+with just its worst case left would stop a step late.
+"""
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from distenum import (AddressablePQ, LazyArray, OutputMode, StepCounter,
+                      from_edge_list, make_enumerator)
+from distenum.enumerators import searches
+
+from conftest import all_mode_combos, small_corpus
+from test_suspension import EveryStepCounter, metered
+
+
+class Probe:
+    """What a search sees of an enumerator: its graph and counter, a
+    budget that never moves, and an emit that charges its bank step and
+    never asks."""
+
+    __slots__ = ("graph", "counter")
+
+    def __init__(self, graph, counter):
+        self.graph = graph
+        self.counter = counter
+
+    def _see_degree(self, deg):
+        pass
+
+    def _emit(self, s, t, d):
+        self.counter.total += 1
+        return False
+
+
+def _graphs():
+    # Self-loops, parallel arcs and an unreachable tail (the last two
+    # vertices) in each.  Source 0's single arc in the weighted graphs
+    # is scanned with an empty heap: its worst case, 5 steps, is met.
+    und = from_edge_list(8, [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 2),
+                             (2, 4), (3, 5), (4, 5), (6, 7)], False)
+    dig = from_edge_list(8, [(0, 1), (0, 2), (0, 2), (2, 2), (1, 3), (2, 4),
+                             (3, 5), (4, 5), (5, 0), (6, 0), (7, 6)], True)
+    wdig = from_edge_list(8, [(0, 1, 4), (1, 2, 9), (1, 3, 5), (1, 4, 2),
+                              (1, 1, 1), (2, 5, 0), (3, 5, 1), (3, 5, 1),
+                              (4, 3, 1), (4, 2, 3), (5, 0, 2), (6, 0, 1)],
+                          True, weighted=True)
+    wund = from_edge_list(7, [(0, 1, 3), (1, 2, 8), (1, 3, 2), (1, 4, 1),
+                              (2, 3, 1), (3, 4, 0), (4, 4, 5), (2, 4, 1),
+                              (2, 4, 6)], False, weighted=True)
+    # A wide fan fills the heap enough for an extraction's worst case,
+    # two comparisons per level, to be met.
+    fan = [(0, t, w) for t, w in zip(range(1, 10), (5, 3, 8, 1, 9, 2, 7, 4, 6))]
+    fan += [(1, 2, 1), (4, 3, 0), (6, 9, 2), (9, 9, 1), (8, 7, 3), (8, 7, 1)]
+    wide = from_edge_list(12, fan, True, weighted=True)
+    return [pytest.param(g, id=tag) for tag, g in
+            (("unweighted", und), ("directed", dig),
+             ("weighted-directed", wdig), ("weighted", wund),
+             ("weighted-fan", wide))]
+
+
+def stops(budget, counter, machine):
+    """Drive a fresh machine pull by pull, each pull's deadline budget
+    steps past its start; return the counted totals, from the machine's
+    first step, at its suspensions."""
+    start = counter.total
+    out = []
+    while True:
+        counter.deadline = counter.total + budget
+        try:
+            next(machine)
+        except StopIteration:
+            return out
+        out.append(counter.total - start)
+
+
+def reference_stops(budget, totals):
+    """The same from the totals at every check of an every-step run."""
+    out = []
+    at = 0
+    for total in totals:
+        if total >= at + budget:
+            out.append(total)
+            at = total
+    return out
+
+
+def assert_blocks_invisible(build):
+    """build(counter) -> machine; its arrays are allocated by then."""
+    every = EveryStepCounter()
+    machine = build(every)
+    start = every.total
+    totals = [every.total - start for _ in machine]
+    last = every.total - start
+    assert last > 0
+    for budget in range(1, last + 2):
+        counter = StepCounter()
+        machine = build(counter)
+        got = stops(budget, counter, machine)
+        assert got == reference_stops(budget, totals), budget
+
+
+def _search(kind, g, s):
+    def build(counter):
+        probe = Probe(g, counter)
+        if kind == "sweep":
+            dist = LazyArray(g.n, counter)
+            for t in range(g.n):
+                if t % 4 != 3:
+                    dist.write(t, 1)
+            return searches.sweep_unreached(probe, s, dist)
+        arrays = searches.search_arrays(probe)
+        if kind == "bfs":
+            return searches.bfs_search(probe, s, arrays[0], probe._emit)
+        return searches.dijkstra_search(probe, s, *arrays, probe._emit)
+    return build
+
+
+@pytest.mark.parametrize("g", _graphs())
+def test_search_blocks_stop_where_checks_stop(g):
+    kind = "dijkstra" if g.weighted else "bfs"
+    for s in range(g.n):
+        assert_blocks_invisible(_search(kind, g, s))
+        assert_blocks_invisible(_search("sweep", g, s))
+
+
+@pytest.mark.parametrize("g", [p for p in _graphs()
+                               if p.values[0].weighted])
+@pytest.mark.parametrize("mode", [OutputMode(sorted=True),
+                                  OutputMode(sorted=True, no_self=True)],
+                         ids=["sorted", "sorted-no-self"])
+def test_pool_heap_stops_where_checks_stop(g, mode):
+    # The weighted pool driver picks plain or generator heap operations
+    # by the budget left.  The queue cap is lifted, so the machine
+    # suspends at the deadline alone.
+    def build(counter):
+        enum = make_enumerator(g, mode, counter=counter)
+        enum.prepare()
+        enum.qcap = float("inf")
+        return enum._machine
+    assert_blocks_invisible(build)
+
+
+def _heap_ops(seed, count):
+    rng = random.Random(seed)
+    ops, live = [], 0
+    for _ in range(count):
+        r = rng.random()
+        if r < 0.5 or not live:
+            ops.append(("insert", rng.randrange(20)))
+            live += 1
+        elif r < 0.7:
+            ops.append(("decrease", rng.randrange(10 ** 6)))
+        else:
+            ops.append(("extract", None))
+            live -= 1
+    return ops
+
+
+def _decrease_target(pq, handles, arg):
+    live = [h for h in handles if h in pq]
+    if not live:
+        return None, None
+    h = live[arg % len(live)]
+    return h, pq.key_of(h) // 2
+
+
+def heap_machine(pq, ops, out, *, headroom):
+    """Generator heap operations in sequence; handles and results are
+    appended to out.  With headroom, an insert or extraction runs plain whenever the room
+    left exceeds its worst case, by the rule the searches and the pool
+    driver use."""
+    c = pq.counter
+    handles = []
+    for op, arg in ops:
+        room = c.deadline - c.total if headroom else -1
+        if op == "insert":
+            if room > len(pq).bit_length():
+                h = pq.insert(arg, len(handles))
+            else:
+                h = yield from pq.insert_g(arg, len(handles))
+            handles.append(h)
+            out.append(h)
+        elif op == "extract":
+            if room > 2 * len(pq).bit_length() - 2:
+                out.append(pq.extract_min())
+            else:
+                out.append((yield from pq.extract_min_g()))
+        else:
+            h, key = _decrease_target(pq, handles, arg)
+            if h is not None:
+                yield from pq.decrease_key_g(h, key)
+                out.append((h, key))
+
+
+def plain_heap(pq, ops, out):
+    handles = []
+    for op, arg in ops:
+        if op == "insert":
+            handles.append(pq.insert(arg, len(handles)))
+            out.append(handles[-1])
+        elif op == "extract":
+            out.append(pq.extract_min())
+        else:
+            h, key = _decrease_target(pq, handles, arg)
+            if h is not None:
+                pq.decrease_key(h, key)
+                out.append((h, key))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_heap_operations_stop_where_checks_stop(seed):
+    ops = _heap_ops(seed, 60)
+
+    def build(counter):
+        return heap_machine(AddressablePQ(counter), ops, [], headroom=True)
+    assert_blocks_invisible(build)
+
+
+heap_op_lists = st.lists(st.one_of(
+    st.tuples(st.just("insert"), st.integers(0, 30)),
+    st.tuples(st.just("decrease"), st.integers(0, 100)),
+    st.tuples(st.just("extract"), st.none())), max_size=120)
+
+
+@settings(max_examples=150, deadline=None)
+@given(heap_op_lists)
+def test_plain_heap_matches_generator_heap(ops):
+    plain, drained = StepCounter(), StepCounter()
+    got, want = [], []
+    plain_heap(AddressablePQ(plain), ops, got)
+    for _ in heap_machine(AddressablePQ(drained), ops, want,
+                          headroom=False):
+        pass
+    assert got == want
+    assert plain.total == drained.total
+
+
+def test_inline_cell_tests_ignore_garbage(monkeypatch):
+    # The searches test lazy cells inline; build every search array over
+    # adversarial garbage and the runs must not notice.
+    cases = []
+    for tag, g in small_corpus():
+        cases += [(tag, g, mode, None, False) for mode in all_mode_combos()]
+        if not g.directed:
+            cases += [(tag, g, mode, None, True)
+                      for mode in all_mode_combos()]
+        cases += [(tag, g, OutputMode(), s, False) for s in range(min(g.n, 2))]
+    want = [metered(g, mode, source=source, dedup=dedup)
+            for _, g, mode, source, dedup in cases]
+    rng = random.Random(2024)
+
+    def garbage_array(capacity, counter=None):
+        return LazyArray(capacity, counter, garbage_rng=rng)
+
+    monkeypatch.setattr(searches, "LazyArray", garbage_array)
+    for case, expected in zip(cases, want):
+        tag, g, mode, source, dedup = case
+        assert metered(g, mode, source=source, dedup=dedup) == expected, \
+            case

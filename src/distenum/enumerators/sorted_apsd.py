@@ -92,10 +92,11 @@ class _SortedBase(Enumerator):
         """
         c = self.counter
         heap = self.graph.weighted
-        while pool:
+        live = pool._heap if heap else pool     # no AddressablePQ.__len__
+        while live:
             if not heap:
                 inst = pool[0]
-            elif c.deadline - c.total > 2 * len(pool).bit_length() - 2:
+            elif c.deadline - c.total > 2 * len(live).bit_length() - 2:
                 _key, inst = pool.extract_min()
             else:
                 _key, inst = yield from pool.extract_min_g()
@@ -119,7 +120,7 @@ class _SortedBase(Enumerator):
             if heap:
                 if nxt is None:
                     continue    # search over: drop the instance
-                if c.deadline - c.total > len(pool).bit_length():
+                if c.deadline - c.total > len(live).bit_length():
                     pool.insert(nxt[2], inst)
                 else:
                     yield from pool.insert_g(nxt[2], inst)

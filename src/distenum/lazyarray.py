@@ -23,7 +23,8 @@ pointers then fail the back-pointer test like any garbage.
 Inline cell tests: enumerators/searches.py, and only it, reads these
 fields directly in its hot loops: it applies the test above itself,
 writes new cells as write() does and charges the same counted steps in
-one add.
+one add.  Its Dijkstra search also writes the dist and handles cells
+inline in the arc scan block, and the settled cell at every settle.
 """
 from __future__ import annotations
 

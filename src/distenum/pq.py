@@ -13,7 +13,10 @@ names) that checks the deadline after every comparison and suspends once
 it is reached, so a pull can stop inside a heap operation at the exact
 step its budget runs out.  Both make the same comparisons and charge the
 same steps.  Callers run the plain one outside a pull, and inside one
-only when the budget left exceeds the operation's worst case.
+only when the budget left exceeds the operation's worst case.  The
+plain loops are sift_up and sift_down, which return their comparison
+count; the plain operations here and the Dijkstra headroom blocks in
+enumerators/searches.py, which run the heap on its lists, call them.
 """
 from __future__ import annotations
 
@@ -29,6 +32,54 @@ def drain(gen):
             return stop.value
 
 
+def sift_up(heap: list, pos: list, keys: list, i: int) -> int:
+    """Move heap[i] up to its place; return the comparisons made."""
+    h = heap[i]
+    k = keys[h]
+    steps = 0
+    while i > 0:
+        parent = (i - 1) >> 1
+        hp = heap[parent]
+        kp = keys[hp]
+        steps += 1
+        if not (k < kp if k != kp else h < hp):
+            break
+        heap[i] = hp
+        pos[hp] = i
+        i = parent
+    heap[i] = h
+    pos[h] = i
+    return steps
+
+
+def sift_down(heap: list, pos: list, keys: list, i: int) -> int:
+    """Move heap[i] down to its place; return the comparisons made."""
+    n = len(heap)
+    child = 2 * i + 1
+    h = heap[i]
+    k = keys[h]
+    steps = 0
+    while child < n:
+        hc = heap[child]
+        kc = keys[hc]
+        if child + 1 < n:
+            hr = heap[child + 1]
+            kr = keys[hr]
+            steps += 1
+            if kr < kc if kr != kc else hr < hc:
+                child, hc, kc = child + 1, hr, kr
+        steps += 1
+        if not (kc < k if kc != k else hc < h):
+            break
+        heap[i] = hc
+        pos[hc] = i
+        i = child
+        child = 2 * i + 1
+    heap[i] = h
+    pos[h] = i
+    return steps
+
+
 class AddressablePQ:
     __slots__ = ("counter", "_heap", "_keys", "_payloads", "_pos")
 
@@ -42,9 +93,6 @@ class AddressablePQ:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
     def __contains__(self, handle: int) -> bool:
         """True while the handle's entry is live (inserted, not extracted)."""
         return 0 <= handle < len(self._keys) and self._pos[handle] >= 0
@@ -57,28 +105,32 @@ class AddressablePQ:
 
     def insert(self, key, payload=None) -> int:
         h = self._new_entry(key, payload)
-        self._sift_up(len(self._heap) - 1)
+        self.counter.total += sift_up(self._heap, self._pos, self._keys,
+                                      self._pos[h])
         return h
 
     def decrease_key(self, handle: int, key) -> None:
-        self._sift_up(self._set_key(handle, key))
+        self.counter.total += sift_up(self._heap, self._pos, self._keys,
+                                      self._set_key(handle, key))
 
     def extract_min(self):
         """Remove and return the minimal (key, payload), or None if empty."""
-        if not self._heap:
+        heap = self._heap
+        if not heap:
             return None
         h = self._pop_root()
-        if self._heap:
-            self._sift_down(0)
+        if heap:
+            self.counter.total += sift_down(heap, self._pos, self._keys, 0)
         return self._keys[h], self._payloads[h]
 
     def build(self, items) -> list[int]:
         """Bulk-load (key, payload) pairs; linear comparison count."""
-        if self._heap:
+        heap = self._heap
+        if heap:
             raise ValueError("build requires an empty queue")
         handles = [self._new_entry(key, payload) for key, payload in items]
-        for i in reversed(range(len(self._heap) // 2)):
-            self._sift_down(i)
+        for i in reversed(range(len(heap) // 2)):
+            self.counter.total += sift_down(heap, self._pos, self._keys, i)
         return handles
 
     # -- generator operations (deadline checked per comparison) -----------
@@ -132,52 +184,6 @@ class AddressablePQ:
     def _check_live(self, handle: int) -> None:
         if not 0 <= handle < len(self._keys) or self._pos[handle] < 0:
             raise ValueError(f"handle {handle} is not live")
-
-    def _sift_up(self, i: int) -> None:
-        heap, pos, keys = self._heap, self._pos, self._keys
-        h = heap[i]
-        k = keys[h]
-        steps = 0
-        while i > 0:
-            parent = (i - 1) >> 1
-            hp = heap[parent]
-            kp = keys[hp]
-            steps += 1
-            if not (k < kp if k != kp else h < hp):
-                break
-            heap[i] = hp
-            pos[hp] = i
-            i = parent
-        heap[i] = h
-        pos[h] = i
-        self.counter.total += steps
-
-    def _sift_down(self, i: int) -> None:
-        heap, pos, keys = self._heap, self._pos, self._keys
-        n = len(heap)
-        child = 2 * i + 1
-        h = heap[i]
-        k = keys[h]
-        steps = 0
-        while child < n:
-            hc = heap[child]
-            kc = keys[hc]
-            if child + 1 < n:
-                hr = heap[child + 1]
-                kr = keys[hr]
-                steps += 1
-                if kr < kc if kr != kc else hr < hc:
-                    child, hc, kc = child + 1, hr, kr
-            steps += 1
-            if not (kc < k if kc != k else hc < h):
-                break
-            heap[i] = hc
-            pos[hc] = i
-            i = child
-            child = 2 * i + 1
-        heap[i] = h
-        pos[h] = i
-        self.counter.total += steps
 
     def _sift_up_g(self, i: int):
         heap, pos, keys = self._heap, self._pos, self._keys

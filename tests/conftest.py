@@ -44,18 +44,23 @@ def small_corpus():
     ]
 
 
-def edge_list_graphs(draw):
+def edge_list_graphs(draw, weighted=None, zero_parallel=False):
     """Hypothesis graph: 1 to 10 vertices, directed or not, weighted or
     not (zero weights allowed), with loops, parallel arcs and isolated
-    vertices as they fall."""
+    vertices as they fall.  weighted=True or False forces the choice;
+    zero_parallel adds a zero-weight copy of a drawn arc."""
     n = draw(st.integers(1, 10))
     directed = draw(st.booleans())
-    weighted = draw(st.booleans())
+    if weighted is None:
+        weighted = draw(st.booleans())
     wmax = min(9, n ** 3)
     edges = draw(st.lists(
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
                   st.integers(0, wmax)),
-        max_size=25))
+        min_size=1 if zero_parallel else 0, max_size=25))
+    if zero_parallel:
+        u, v, _ = edges[draw(st.integers(0, len(edges) - 1))]
+        edges.append((u, v, 0))
     if not weighted:
         edges = [(u, v) for u, v, _ in edges]
     return from_edge_list(n, edges, directed, weighted=weighted)

@@ -10,17 +10,19 @@ check.  The graphs are small enough to try every budget, and each has a
 stretch whose worst case is met exactly, so a guard that let a block run
 with just its worst case left would stop a step late.
 """
+import hashlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distenum import (AddressablePQ, LazyArray, OutputMode, StepCounter,
-                      from_edge_list, make_enumerator)
+                      from_edge_list, gen_random, make_enumerator)
 from distenum.enumerators import searches
 
-from conftest import all_mode_combos, small_corpus
+from conftest import all_mode_combos, graphs, small_corpus
 from test_suspension import EveryStepCounter, metered
 
 
@@ -132,6 +134,59 @@ def test_search_blocks_stop_where_checks_stop(g):
     for s in range(g.n):
         assert_blocks_invisible(_search(kind, g, s))
         assert_blocks_invisible(_search("sweep", g, s))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(weighted=True, zero_parallel=True))
+def test_dijkstra_blocks_stop_where_checks_stop_on_random_graphs(g):
+    # Random weighted graphs with a zero-weight parallel arc: decrease-
+    # keys, ties on equal keys and non-improving reads at every budget.
+    for s in range(g.n):
+        assert_blocks_invisible(_search("dijkstra", g, s))
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython",
+                    reason="pymalloc's small-object limit")
+def test_dijkstra_generator_is_a_small_object():
+    # A sorted pool keeps one search generator per source alive; one
+    # past pymalloc's 512 bytes goes to the system allocator, and a
+    # 300-vertex sorted drain then peaked 6-12% higher in RSS.
+    g = from_edge_list(2, [(0, 1, 1)], True, weighted=True)
+    probe = Probe(g, StepCounter())
+    gen = searches.dijkstra_search(probe, 0, *searches.search_arrays(probe),
+                                   probe._emit)
+    assert sys.getsizeof(gen) <= 512
+
+
+# Per source of a 3000-vertex graph: SHA-256 of the first 64 pulls'
+# triples, each with its pull's counted steps.  The heaps grow to
+# hundreds of entries, so the guards' bit_length terms move.
+LARGE_HEAP_PINS = {
+    0: "e0de1b9f3b0acc3b3873b6a7a3ddec46192df318c725ef574df05dba0fa13e12",
+    500: "6732b098dae11d962c5e027a2d66f6cd121738b1aad62bd29044d5e910b33eb1",
+    1000: "abd8d36701aba35c9db3b7183cce90bd59cd6405df9a96ae9e16bcd6f9cc4219",
+    1500: "ca33a0bcb90c9a83179a3a57bcb93694bd252d47231f9c1c36e822c0fc62967b",
+    2000: "dc6fd2c6462d4d4489a1b87c525c7c7a1142f6f63b4001de9d6d1e49bf44bd52",
+    2500: "7407987e1a501186dbf70eceb93d74f8aa858f46e1ae8e46bac9775a0a7e28ef",
+}
+
+
+def test_large_heap_single_source_pins():
+    g = gen_random(3000, 12000, max_weight=1000, seed=11)
+    mode = OutputMode(no_self=True, reachable_only=True)
+    got = {}
+    for s in LARGE_HEAP_PINS:
+        counter = StepCounter()
+        enum = make_enumerator(g, mode, source=s, counter=counter)
+        enum.prepare()
+        digest = hashlib.sha256()
+        for _ in range(64):
+            before = counter.total
+            t = enum.pull()
+            digest.update(f"{t.source} {t.target} {t.distance} "
+                          f"{counter.total - before}\n".encode())
+        got[s] = digest.hexdigest()
+    assert got == LARGE_HEAP_PINS
 
 
 @pytest.mark.parametrize("g", [p for p in _graphs()

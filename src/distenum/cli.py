@@ -51,6 +51,15 @@ def _at_least(minimum: int):
     return count
 
 
+def _sizes(text: str) -> list[int]:
+    """argparse type: comma-separated integer sizes (else exit 2)."""
+    try:
+        return [int(item) for item in text.split(",")]
+    except ValueError as exc:
+        # int() names the item it could not read
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_mode_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--source", type=int, default=None,
                    help="single-source run from this vertex")
@@ -109,9 +118,11 @@ def cmd_enumerate(args) -> int:
     meter = Meter(enum) if args.report else None
     stream = itertools.islice(meter or enum, args.limit)
     write = sys.stdout.write
+    flat = itertools.chain.from_iterable
     while chunk := list(itertools.islice(stream, WRITE_CHUNK)):
-        # str(math.inf) is "inf", the format's unreachable distance
-        write("".join([f"{s} {t} {d}\n" for s, t, d in chunk]))
+        # One % per chunk; "%s" % math.inf is "inf", the format's
+        # unreachable distance.
+        write("%s %s %s\n" * len(chunk) % tuple(flat(chunk)))
     if meter is not None:
         sys.stderr.write(meter.report().to_kv())
     return 0
@@ -173,7 +184,7 @@ def cmd_bench(args) -> int:
     # the generators' and the enumerators' own checks reject a bad size
     # or source while nothing has been printed.
     runs = []
-    for size in (int(x) for x in args.sizes.split(",")):
+    for size in args.sizes:
         g = _bench_graph(args.family, size, args)
         runs.append((size, g, enumerator(g)))
     print(f"{'size':>6} {'n':>7} {'m':>8} {'maxdeg':>6} {'avgdeg':>7} "
@@ -264,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      "graph family")
     p.add_argument("family", choices=["clique-path", "star", "random",
                                       "isolated-plus-edge"])
-    p.add_argument("--sizes", required=True,
+    p.add_argument("--sizes", type=_sizes, required=True,
                    help="comma-separated sizes (k for clique-path, n "
                         "otherwise)")
     _add_mode_flags(p)

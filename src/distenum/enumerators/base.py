@@ -13,7 +13,9 @@ An emit may also ask for a suspension: after an emit that returns
 True, the emit site suspends the machine at its next check.
 Machines bank solutions ahead of schedule in the queue, up to a cap
 linear in n; the emit that fills the queue to the cap asks, and the
-pull then stops early, which can only shorten the observed delay.  If a
+pull then stops early, which can only shorten the observed delay.
+The queue grows only while the machine runs, so pull records its
+high-water mark (peak_queue) once, just before the pop.  If a
 budget ever expires with nothing banked and the machine still running,
 the schedule's accounting is broken and pull raises ScheduleUnderflow.
 
@@ -158,9 +160,12 @@ class Enumerator:
                 # enumerator on the same counter.
                 counter.deadline = NEVER
                 self._pull_start = None
-        if self.q:
+        q = self.q
+        if q:
+            if len(q) > self.peak_queue:
+                self.peak_queue = len(q)
             counter.total += 1
-            triple = self.q.popleft()
+            triple = q.popleft()
             self.emitted += 1
             # Head-start regimes leave their constant budget once the
             # first half of the self-pair bank has gone out.
@@ -222,15 +227,14 @@ class Enumerator:
         that fills the queue to its cap asks (pull then ends the pull),
         paced dedup machines ask to end the pull, the no-self machine
         asks at its refill mark (and a sorted pool instance's emit always
-        asks)."""
-        self._produced_in_pull += 1
+        asks).  Only paced machines count their production, since only
+        their test reads the count; pull records peak_queue."""
         key = self._keep_key
         if key is None or key(u) <= key(v):
             self.counter.total += 1
             q = self.q
-            q.append(DistanceTriple(u, v, d))
-            if len(q) > self.peak_queue:
-                self.peak_queue = len(q)
+            # tuple.__new__ skips the namedtuple's Python-level __new__
+            q.append(tuple.__new__(DistanceTriple, (u, v, d)))
             if len(q) >= self.qcap:
                 return True
         # Paced machines fund two production slots per pull (one kept,
@@ -242,10 +246,12 @@ class Enumerator:
         # filtered visits, each of which can cost about 2 * dmax steps.
         # Production is the only way the test can turn true; the emit
         # site suspends the machine on the True return and pull ends.
-        if self._paced and self._produced_in_pull >= 2 \
-                and len(self.q) >= 2 * (self._dmax_seen + 1):
-            self._paced_stop = True
-            return True
+        if self._paced:
+            self._produced_in_pull += 1
+            if self._produced_in_pull >= 2 \
+                    and len(self.q) >= 2 * (self._dmax_seen + 1):
+                self._paced_stop = True
+                return True
         return False
 
     def _see_degree(self, deg: int) -> None:

@@ -15,8 +15,6 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass
 
-import numpy as np
-
 from .graph import Graph
 
 INFINITE = math.inf
@@ -78,6 +76,8 @@ def _matrix_by_search(g: Graph) -> DistanceMatrix:
 
 
 def _matrix_by_relaxation(g: Graph) -> DistanceMatrix:
+    import numpy as np  # on first use: streaming commands start without it
+
     n = g.n
     d = np.full((n, n), np.inf)
     np.fill_diagonal(d, 0.0)

@@ -1,4 +1,5 @@
 """End-to-end CLI runs, in process via main(argv)."""
+import itertools
 import math
 import os
 import subprocess
@@ -149,6 +150,48 @@ def test_enumerate_chunked_output_matches_stream(tmp_path, capsys):
         assert "pulls=1000\n" in err
 
 
+@pytest.mark.parametrize("flag,mode", [
+    ("--sorted", OutputMode(sorted=True)),
+    ("--no-self", OutputMode(no_self=True)),
+])
+def test_enumerate_weighted_bytes_at_chunk_edges(tmp_path, capsys, flag,
+                                                 mode):
+    # A weighted directed graph with unreachable pairs; limits around one
+    # write chunk (512 triples) and none.
+    g = gen_random(40, 50, directed=True, max_weight=9, seed=5)
+    p = tmp_path / "w.graph"
+    p.write_text(format_graph(g))
+    for limit in (0, 1, 511, 512, 513, None):
+        want = "".join(f"{s} {t} {d}\n" for s, t, d in
+                       itertools.islice(make_enumerator(g, mode), limit))
+        extra = [] if limit is None else ["--limit", str(limit)]
+        rc, out, _ = run(capsys, "enumerate", str(p), flag, *extra)
+        assert rc == 0 and out == want, limit
+    assert " inf\n" in want
+
+
+def test_enumerate_starts_without_numpy(tmp_path):
+    # Only the relaxation oracle uses numpy, and it loads it on first use.
+    p = tmp_path / "r.graph"
+    p.write_text(format_graph(gen_random(30, 60, max_weight=5, seed=2)))
+    code = f"""if True:
+        import os, sys
+        import distenum, distenum.cli
+        sys.stdout = open(os.devnull, "w")
+        assert distenum.cli.main(["enumerate", {str(p)!r}]) == 0
+        assert "numpy" not in sys.modules
+        g = distenum.parse_graph(open({str(p)!r}).read())
+        got = distenum.brute_force_matrix(g)
+        assert "numpy" in sys.modules
+        assert got == distenum.brute_force_matrix(g, "search")
+        """
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(distenum.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_enumerate_huge_header_is_input_error(tmp_path, capsys):
     # The cap rejects the header before any allocation; without it the
     # CSR build asks for 800 GB, which the allocator refuses at once.
@@ -282,13 +325,24 @@ def test_bench_smoke(capsys):
     ["star", "--sizes", "0"],
     ["random", "--sizes", "20", "--source", "50"],
     ["random", "--sizes", "20,5"],
+    ["random", "--sizes", "10,,20"],
+    ["random", "--sizes", "10,1e3"],
 ])
 def test_bench_bad_size_prints_nothing(capsys, argv):
     # Every size is checked before the header, so a bad one leaves no
     # partial table behind.
-    rc, out, err = run(capsys, "bench", *argv)
+    try:
+        rc, out, err = run(capsys, "bench", *argv)
+    except SystemExit as exc:
+        # an item that is not an integer is a usage error naming the flag
+        # and the item
+        rc, (out, err) = exc.code, capsys.readouterr()
+        bad = next(x for x in argv[2].split(",") if not x.isdigit())
+        assert err.endswith(f"argument --sizes: invalid literal for int() "
+                            f"with base 10: {bad!r}\n")
+    else:
+        assert err.startswith("error:")
     assert rc == 2 and out == ""
-    assert err.startswith("error:")
 
 
 def test_bmm_identity(tmp_path, capsys):

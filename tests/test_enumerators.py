@@ -1,6 +1,8 @@
 """Enumeration machines: stream contents, order, budgets, and space."""
+import itertools
 import math
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from distenum import (OutputMode, ScheduleUnderflow, brute_force_matrix,
                       from_edge_list, gen_clique_path, gen_isolated_plus_edge,
                       gen_random, gen_star, make_enumerator, run_metered,
                       validate)
+from distenum.metering import Meter
 from conftest import all_mode_combos, assert_valid_run, graphs, metered_run
 
 INF = math.inf
@@ -225,6 +228,51 @@ def test_end_of_stream_idempotent(corpus):
 def test_iter_protocol():
     got = [tuple(t) for t in make_enumerator(path3(), source=0)]
     assert got == [(0, 0, 0), (0, 1, 1), (0, 2, 2)]
+
+
+class HighWaterQueue(deque):
+    """A solution queue that records its largest length at every append,
+    the per-emit rule peak_queue was once kept by."""
+
+    peak = 0
+
+    def append(self, item):
+        super().append(item)
+        self.peak = max(self.peak, len(self))
+
+
+@pytest.mark.parametrize("regime", [
+    "unconstrained", "no_self", "paced_dedup", "sorted_weighted", "single"])
+def test_peak_queue_is_the_pull_end_high_water_mark(regime):
+    # pull records peak_queue once, before its pop; the queue only grows
+    # while the machine runs, so that must equal the per-append maximum
+    # after every pull, including a stream stopped early (as under
+    # enumerate --limit N --report).
+    unweighted = gen_random(40, 160, seed=7)
+    g, mode, kw = {
+        "unconstrained": (unweighted, OutputMode(), {}),
+        "no_self": (unweighted, OutputMode(no_self=True), {}),
+        "paced_dedup": (unweighted, OutputMode(), {"dedup": True}),
+        "sorted_weighted": (gen_random(30, 90, directed=True, max_weight=9,
+                                       seed=3), OutputMode(sorted=True), {}),
+        "single": (gen_random(60, 240, max_weight=9, seed=4), OutputMode(),
+                   {"source": 5}),
+    }[regime]
+    phases, cap_stops = set(), 0
+    for limit in (None, 37):
+        enum = make_enumerator(g, mode, **kw)
+        enum.q = queue = HighWaterQueue()
+        meter = Meter(enum)
+        for triple in itertools.islice(meter, limit):
+            phases.add(enum.phase)
+            cap_stops += queue.peak == enum.qcap
+            assert enum.peak_queue == queue.peak, (regime, limit)
+        assert meter.report().peak_queue == queue.peak > 0
+        if regime == "paced_dedup":
+            assert enum._paced
+    if regime == "unconstrained":
+        # the pulls covered the head phase and queues filled to the cap
+        assert "head" in phases and cap_stops
 
 
 # -- full corpus sweep ------------------------------------------------------

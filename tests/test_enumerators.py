@@ -231,8 +231,8 @@ def test_iter_protocol():
 
 
 class HighWaterQueue(deque):
-    """A solution queue that records its largest length at every append,
-    the per-emit rule peak_queue was once kept by."""
+    """A solution queue that records its largest length at every append:
+    the per-append high-water mark that peak_queue must equal."""
 
     peak = 0
 

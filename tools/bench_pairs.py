@@ -99,13 +99,14 @@ def main(argv=None) -> int:
     parent_rev = git(root, "rev-parse", args.parent)
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     parent_root = tmp / "parent"
-    git(root, "worktree", "add", "--detach", str(parent_root), parent_rev)
     report = {"parent": parent_rev, "change": git(root, "rev-parse", "HEAD"),
               "change_is_working_tree": True, "pairs": args.pairs,
               "seconds": args.seconds,
               "seeds": [args.first_seed + i for i in range(args.pairs)],
               "workloads": {}}
     try:
+        git(root, "worktree", "add", "--detach", str(parent_root),
+            parent_rev)
         for workload in workloads:
             runs = {"parent": [], "change": []}
             for i, seed in enumerate(report["seeds"]):

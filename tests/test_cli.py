@@ -325,24 +325,25 @@ def test_bench_smoke(capsys):
     ["star", "--sizes", "0"],
     ["random", "--sizes", "20", "--source", "50"],
     ["random", "--sizes", "20,5"],
-    ["random", "--sizes", "10,,20"],
-    ["random", "--sizes", "10,1e3"],
 ])
 def test_bench_bad_size_prints_nothing(capsys, argv):
     # Every size is checked before the header, so a bad one leaves no
     # partial table behind.
-    try:
-        rc, out, err = run(capsys, "bench", *argv)
-    except SystemExit as exc:
-        # an item that is not an integer is a usage error naming the flag
-        # and the item
-        rc, (out, err) = exc.code, capsys.readouterr()
-        bad = next(x for x in argv[2].split(",") if not x.isdigit())
-        assert err.endswith(f"argument --sizes: invalid literal for int() "
-                            f"with base 10: {bad!r}\n")
-    else:
-        assert err.startswith("error:")
+    rc, out, err = run(capsys, "bench", *argv)
     assert rc == 2 and out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("sizes,bad", [("10,,20", ""), ("10,1e3", "1e3")])
+def test_bench_non_integer_size_is_usage_error(capsys, sizes, bad):
+    # An item that is not an integer is a usage error naming the flag and
+    # the item, raised while parsing, before any table is printed.
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "random", "--sizes", sizes])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.endswith(f"argument --sizes: invalid literal for int() "
+                        f"with base 10: {bad!r}\n")
 
 
 def test_bmm_identity(tmp_path, capsys):

@@ -1,18 +1,20 @@
-"""Paired benchmark runs: the working tree against a parent commit.
+"""Paired benchmark runs: HEAD of a clean checkout against a parent commit.
 
     python3 tools/bench_pairs.py --out BENCH.json [--parent HEAD^]
-        [--pairs 10] [--seconds 20] [--first-seed 201] [--workload NAME]...
+        [--pairs 10] [--seconds 20] [--workload NAME]...
 
-Run from anywhere inside the repository.  The parent is checked out with
-`git worktree` into a temporary directory (under $TMPDIR), which is
-removed at the end.  Pair i runs the unchanged perfbench/run.py once on
-each side with seed first-seed + i, the parent first on even pairs and
-the change first on odd ones.  The output file holds, per workload and
-end-to-end metric, both sides' runs, medians and quartiles, the
-change/parent ratio of medians, the change's wins out of the pairs, and
-the parent's IQR over its median, flagged `unresolved` when that spread
-exceeds the metric's bound in BENCHMARK.json.  The file is data, not a
-gate: the exit code is 0 whenever every run produced a result.
+Run from anywhere inside the repository.  The change side is HEAD as
+committed, so a tree with uncommitted edits or untracked files is
+refused.  The parent is checked out with `git worktree` into a temporary
+directory (under $TMPDIR), which is removed at the end.  Pair i runs the
+unchanged perfbench/run.py once on each side with seed 201 + i, the
+parent first on even pairs and the change first on odd ones.  The output
+file holds, per workload and end-to-end metric, both sides' runs, medians
+and quartiles, the change/parent ratio of medians, the change's wins out
+of the pairs, and the parent's IQR over its median, flagged `unresolved`
+when that spread exceeds the metric's bound in BENCHMARK.json.  The file
+is data, not a gate: the exit code is 0 whenever every run produced a
+result.
 """
 from __future__ import annotations
 
@@ -86,7 +88,6 @@ def main(argv=None) -> int:
                    help="revision to compare against (default HEAD^)")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=20.0)
-    p.add_argument("--first-seed", type=int, default=201)
     p.add_argument("--workload", action="append",
                    help="repeatable; default every BENCHMARK.json workload")
     args = p.parse_args(argv)
@@ -94,15 +95,17 @@ def main(argv=None) -> int:
         p.error("--pairs must be at least 2 for quartiles")
 
     root = Path(git(Path.cwd(), "rev-parse", "--show-toplevel"))
+    if git(root, "status", "--porcelain"):
+        p.error("the working tree has uncommitted changes or untracked "
+                "files; commit or stash them so HEAD names the measured code")
     spec = json.loads((root / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     parent_rev = git(root, "rev-parse", args.parent)
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     parent_root = tmp / "parent"
     report = {"parent": parent_rev, "change": git(root, "rev-parse", "HEAD"),
-              "change_is_working_tree": True, "pairs": args.pairs,
-              "seconds": args.seconds,
-              "seeds": [args.first_seed + i for i in range(args.pairs)],
+              "pairs": args.pairs, "seconds": args.seconds,
+              "seeds": [201 + i for i in range(args.pairs)],
               "workloads": {}}
     try:
         git(root, "worktree", "add", "--detach", str(parent_root),

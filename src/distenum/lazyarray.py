@@ -25,12 +25,63 @@ fields directly in its hot loops: it applies the test above itself,
 writes new cells as write() does and charges the same counted steps in
 one add.  Its Dijkstra search also writes the dist and handles cells
 inline in the arc scan block, and the settled cell at every settle.
+
+Recycling.  A dead array hands its three backing lists to a spare store
+that keeps at most three such sets (one weighted search's dist, settled
+and handles), all of the capacity freed most recently; a new array of
+that capacity takes a set instead of allocating, unless it was built
+with garbage_rng.  Allocation keeps its one counted step and its
+record_alloc, so no report moves.  A recycled list is an old object,
+so the collector's young passes inside a pull skip it.  A kept set is
+zeroed in place from one shared zero list, so a pull that overwrites a
+cell frees no stale value.  A death that finds the store full keeps
+nothing and returns at once; one of another capacity drops the kept
+sets and starts the store over at its own capacity.  Sets come back
+when the array dies: at once for an array dropped by reference count,
+and at the next collection for one held in a cycle, as every
+enumerator is (it and its machine refer to each other); perfbench's
+timed_stream collects before each stream, so there a dead query's sets
+are back before the next query starts.  Only the array, and code that
+it outlives, may hold its lists: the searches bind them to locals of a
+frame that also holds the array.
 """
 from __future__ import annotations
 
 import random
 
 from .metering import StepCounter
+
+
+class _Spares:
+    """Zeroed backing-list sets of the capacity freed most recently."""
+    __slots__ = ("zeros", "sets")
+    keep = 3                # one weighted search: dist, settled, handles
+
+    def __init__(self):
+        self.zeros = []     # shared zero list; its length is the capacity
+        self.sets = []      # at most keep (index, back, value) sets
+
+    def take(self, capacity: int) -> tuple:
+        """A zeroed set of the capacity: a spare if one is kept, else new."""
+        if self.sets and len(self.zeros) == capacity:
+            return self.sets.pop()
+        return [0] * capacity, [0] * capacity, [0] * capacity
+
+    def give(self, index: list, back: list, value: list) -> None:
+        n = len(index)
+        if n != len(self.zeros):
+            self.sets.clear()
+            self.zeros = [0] * n
+        elif len(self.sets) >= self.keep:
+            return
+        zeros = self.zeros
+        index[:] = zeros
+        back[:] = zeros
+        value[:] = zeros
+        self.sets.append((index, back, value))
+
+
+_spares = _Spares()
 
 
 class LazyArray:
@@ -43,13 +94,15 @@ class LazyArray:
         self.capacity = capacity
         self.counter = counter if counter is not None else StepCounter()
         self.written_count = 0
-        # zero-filled backing is just one possible garbage pattern; tests
-        # pass garbage_rng to exercise adversarial contents
-        self._index = [0] * capacity
-        self._back = [0] * capacity
-        self._value = [0] * capacity
         self._released = False
-        if garbage_rng is not None:
+        if garbage_rng is None:
+            self._index, self._back, self._value = _spares.take(capacity)
+        else:
+            # zero-filled backing is just one possible garbage pattern;
+            # tests pass garbage_rng to exercise adversarial contents
+            self._index = [0] * capacity
+            self._back = [0] * capacity
+            self._value = [0] * capacity
             for i in range(capacity):
                 self._index[i] = garbage_rng.randrange(-capacity - 2, 2 * capacity + 2)
                 self._back[i] = garbage_rng.randrange(-capacity - 2, 2 * capacity + 2)
@@ -104,3 +157,10 @@ class LazyArray:
 
     def __len__(self) -> int:
         return self.capacity
+
+    def __del__(self):
+        try:
+            lists = self._index, self._back, self._value
+        except AttributeError:      # __init__ raised before allocating
+            return
+        _spares.give(*lists)

@@ -1,4 +1,6 @@
 """Enumeration machines: stream contents, order, budgets, and space."""
+import gc
+import heapq
 import itertools
 import math
 import random
@@ -273,6 +275,55 @@ def test_peak_queue_is_the_pull_end_high_water_mark(regime):
     if regime == "unconstrained":
         # the pulls covered the head phase and queues filled to the cap
         assert "head" in phases and cap_stops
+
+
+# -- recycled lazy arrays ---------------------------------------------------
+
+def dijkstra_row(g, s):
+    """Plain heapq Dijkstra: the distances from s to every reached vertex."""
+    dist, heap = {}, [(0, s)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v in dist:
+            continue
+        dist[v] = d
+        for i in range(g.offsets[v], g.offsets[v + 1]):
+            if g.targets[i] not in dist:
+                heapq.heappush(heap, (d + g.weights[i], g.targets[i]))
+    return dist
+
+
+def test_recycled_arrays_repeat_prefixes_and_drains():
+    # Each 16-triple prefix stops mid-search, so the enumerator dies as
+    # cyclic garbage; its three arrays' lists come back at the collection
+    # and the next query takes them.  No query may see a trace of an
+    # earlier one.
+    g = gen_random(2000, 8000, max_weight=20, seed=11)
+    mode = OutputMode(no_self=True, reachable_only=True)
+    seen = {}
+    for s in (3, 1077, 3, 1077, 1999, 3):
+        gc.collect()
+        enum = make_enumerator(g, mode, source=s)
+        meter = Meter(enum)
+        prefix = [tuple(t) for t in itertools.islice(meter, 16)]
+        assert enum._machine is not None
+        got = (prefix, meter.report())
+        assert seen.setdefault(s, got) == got, s
+        ref = dijkstra_row(g, s)
+        del ref[s]
+        assert [d for _, _, d in prefix] == sorted(ref.values())[:16]
+        assert all(u == s and d == ref[v] for u, v, d in prefix)
+        assert len({v for _, v, _ in prefix}) == 16
+    del enum, meter
+    # A graph of another n: the first deaths switch the spares' capacity.
+    g2 = gen_random(70, 280, directed=True, max_weight=9, seed=12)
+    sorted_mode = OutputMode(sorted=True, no_self=True)
+    runs = []
+    for _ in range(2):
+        gc.collect()
+        runs.append(assert_valid_run(g2, brute_force_matrix(g2), sorted_mode,
+                                     tag="sorted after single-source"))
+    assert runs[0] == runs[1]
 
 
 # -- full corpus sweep ------------------------------------------------------

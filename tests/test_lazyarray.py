@@ -1,11 +1,17 @@
 """Lazy-initialized array: constant-cost allocation and garbage immunity."""
+import gc
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distenum import LazyArray, StepCounter
+import distenum
+from distenum import LazyArray, StepCounter, lazyarray
 
 
 def test_alloc_zero_capacity():
@@ -165,3 +171,81 @@ def test_release_idempotent_and_space_accounting():
     b.release()
     assert c.lazy_live_cells == 0
     assert c.lazy_peak_cells == 150
+
+
+# -- recycled backing lists --------------------------------------------------
+
+def _dead_written_lists(cap):
+    """The backing lists of a written array of capacity cap, after it died
+    and the collector ran."""
+    gc.collect()
+    a = LazyArray(cap)
+    for x in range(0, cap, 3):
+        a.write(x, 10 ** 6 + x)
+    lists = a._index, a._back, a._value
+    del a
+    gc.collect()
+    return lists
+
+
+def _shares_lists(a, lists):
+    return any(x is y for x in (a._index, a._back, a._value) for y in lists)
+
+
+def test_dead_array_lists_reused_unwritten_at_one_step():
+    lists = _dead_written_lists(97)
+    c = StepCounter()
+    b = LazyArray(97, c)
+    assert all(x is y for x, y in zip((b._index, b._back, b._value), lists))
+    assert (c.total, c.lazy_alloc_count, c.lazy_live_cells) == (1, 1, 97)
+    assert b.written_count == 0
+    assert all(v == 0 for lst in lists for v in lst)
+    assert not any(b.is_written(x) for x in range(97))
+    assert all(b.read(x) is None for x in range(97))
+
+
+def test_other_capacity_gets_fresh_lists():
+    lists = _dead_written_lists(97)
+    b = LazyArray(98)
+    assert not _shares_lists(b, lists)
+    assert len(b._index) == len(b._back) == len(b._value) == 98
+
+
+def test_garbage_array_never_takes_spares():
+    lists = _dead_written_lists(97)
+    b = LazyArray(97, garbage_rng=random.Random(5))
+    assert not _shares_lists(b, lists)
+    assert any(b._index) and not any(b.is_written(x) for x in range(97))
+
+
+def test_spares_stay_at_three_sets():
+    gc.collect()
+    arrays = [LazyArray(61) for _ in range(20)]
+    for a in arrays:
+        a.write(5, 10 ** 7)
+    del arrays, a
+    gc.collect()
+    sets = lazyarray._spares.sets
+    assert 0 < len(sets) <= 3
+    assert all(len(lst) == 61 for s in sets for lst in s)
+
+
+def test_finalizer_quiet_at_interpreter_exit():
+    # Arrays still alive at exit, one of them in a cycle, die while the
+    # interpreter clears its modules; their finalizers must not raise.
+    code = """if True:
+        import distenum.lazyarray as la
+        from distenum import LazyArray
+        class Node:
+            pass
+        node = Node()
+        node.me, node.arr = node, LazyArray(7)
+        la.kept = LazyArray(9)
+        kept = LazyArray(9)
+        kept.write(3, 4)
+        """
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(distenum.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")

@@ -12,9 +12,13 @@ parent first on even pairs and the change first on odd ones.  The output
 file holds, per workload and end-to-end metric, both sides' runs, medians
 and quartiles, the change/parent ratio of medians, the change's wins out
 of the pairs, and the parent's IQR over its median, flagged `unresolved`
-when that spread exceeds the metric's bound in BENCHMARK.json.  The file
-is data, not a gate: the exit code is 0 whenever every run produced a
-result.
+when that spread exceeds the metric's bound in BENCHMARK.json.  Beside
+them it puts the quartiles and IQR of the per-pair ratios, which show
+how much of the host's drift pairing cancels, and a `separated` flag,
+set when every change run beats every parent run.  Each side's `env`
+line (python, numpy, cores, commit; the workload and seed are dropped)
+is recorded from its first run.  The file is data, not a gate: the exit
+code is 0 whenever every run produced a result.
 """
 from __future__ import annotations
 
@@ -34,7 +38,8 @@ def git(root: Path, *args: str) -> str:
 
 
 def bench_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run; its result object plus the fingerprint line."""
+    """One perfbench run; its result object plus the fingerprint and env
+    lines."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -46,6 +51,8 @@ def bench_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(lines[-1])
     result["fingerprint"] = next(
         (ln for ln in lines if ln.startswith("fingerprint ")), None)
+    result["env"] = next((json.loads(ln.split(" ", 1)[1])
+                          for ln in lines if ln.startswith("env ")), None)
     return result
 
 
@@ -70,15 +77,31 @@ def summarise(runs: dict, metrics: list[dict]) -> dict:
                    for p, c in zip(sides["parent"], sides["change"]))
         iqr = (par["q3"] - par["q1"]) / par["median"] if par["median"] \
             else 0.0
+        ratios = None
+        if all(sides["parent"]):
+            ratios = spread([c / p for p, c in zip(sides["parent"],
+                                                   sides["change"])])
+            ratios["iqr"] = ratios["q3"] - ratios["q1"]
+        separated = max(sides["change"]) < min(sides["parent"]) if lower \
+            else min(sides["change"]) > max(sides["parent"])
         out[name] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"],
             "parent": par, "change": chg,
             "ratio": chg["median"] / par["median"] if par["median"]
             else None,
+            "pair_ratios": ratios,
             "wins": wins, "pairs": len(sides["parent"]),
+            "separated": separated,
             "parent_iqr_over_median": iqr, "unresolved": iqr > m["bound"],
         }
     return out
+
+
+def side_env(run: dict) -> dict | None:
+    """A run's env line without the fields that vary from run to run."""
+    env = run["env"]
+    return env and {k: v for k, v in env.items()
+                    if k not in ("workload", "seed")}
 
 
 def main(argv=None) -> int:
@@ -106,7 +129,7 @@ def main(argv=None) -> int:
     report = {"parent": parent_rev, "change": git(root, "rev-parse", "HEAD"),
               "pairs": args.pairs, "seconds": args.seconds,
               "seeds": [201 + i for i in range(args.pairs)],
-              "workloads": {}}
+              "env": {}, "workloads": {}}
     try:
         git(root, "worktree", "add", "--detach", str(parent_root),
             parent_rev)
@@ -119,6 +142,7 @@ def main(argv=None) -> int:
                     side_root = parent_root if side == "parent" else root
                     runs[side].append(
                         bench_once(side_root, workload, seed, args.seconds))
+                    report["env"].setdefault(side, side_env(runs[side][-1]))
                     print(f"{workload} pair {i + 1}/{args.pairs} {side} done",
                           file=sys.stderr, flush=True)
             report["workloads"][workload] = {

@@ -4,20 +4,21 @@ Three machines share the search primitives:
 
 * RowSearchEnumerator streams complete rows in source order, one search
   per source.  Delay tracks the largest degree seen.
-* UnconstrainedApsdEnumerator banks all self pairs up front, emitting
-  the first half of them under a small constant budget while the
-  searches warm up; afterwards the budget tracks the average degree.
+* UnconstrainedApsdEnumerator opens with base.py's self-pair head bank,
+  then searches every source.
 * NoSelfApsdEnumerator drops self pairs, which kills the cheap bank, so
   a cursor over cheap per-vertex output (direct edges, unreachable fans
   for isolated vertices) is interleaved with the searches: the cursor
   refills the queue whenever it runs low, and searches grind the bulk
-  work the rest of the time.  Budget tracks the average degree.
+  work the rest of the time.
+
+Both unordered machines run base.py's average-degree budget.
 """
 from __future__ import annotations
 
 from collections import deque
 
-from .base import HEAD_BUDGET, Enumerator, base_avg_degree
+from .base import AverageDegreeEnumerator, Enumerator
 from .searches import (cheapest_out_arc, fan_row, has_out_arc, reuse_arrays,
                        search, unit_arcs)
 from ..lazyarray import LazyArray
@@ -83,38 +84,21 @@ class RowSearchEnumerator(Enumerator):
                               sweep=sweep)
 
 
-class UnconstrainedApsdEnumerator(Enumerator):
+class UnconstrainedApsdEnumerator(AverageDegreeEnumerator):
     """All n^2 pairs, order free; self pairs double as the head bank."""
-
-    _dedup_paced = True
 
     def __init__(self, graph, mode, counter, dedup):
         super().__init__(graph, mode, counter, dedup)
-        self._degree_sum = None
         self.phase = "stream" if graph.n <= 2 else "head"
 
     def _preprocess(self):
-        # Tiny graphs cannot fund a head phase; read the degrees up
-        # front and run a single full-budget phase instead.
         if self.graph.n <= 2:
-            total = 0
-            for v in range(self.graph.n):
-                self.counter.total += 1
-                total += self.graph.degree(v)
-            self._degree_sum = total
+            self._degree_sum, _ = self._degrees()
 
     def _run(self):
-        g, c = self.graph, self.counter
-        n = g.n
-        total = 0
-        for v in range(n):
-            c.total += 1
-            total += g.degree(v)
-            # banked as it accumulates: paced deduped pulls pop slowly
-            # enough that the head phase can end mid-loop
-            self._degree_sum = total
-            if self._emit(v, v, 0) or c.total >= c.deadline:
-                yield
+        c, n = self.counter, self.graph.n
+        # The searches raise _dmax_seen as they go; dedup pacing reads it.
+        yield from self._self_pairs()
         self._budget_moved()
         sources = _balanced_order(range(n)) if self.dedup else range(n)
         arrays = []
@@ -124,28 +108,16 @@ class UnconstrainedApsdEnumerator(Enumerator):
                 yield
             yield from search(self, s, arrays, self._emit, skip_le=0)
 
-    def _refresh_budget(self):
-        if self.phase == "head":
-            self._budget_cached = HEAD_BUDGET * self._budget_scale
-            return
-        assert self._degree_sum is not None, "degree sum not banked in time"
-        self._budget_cached = self._budget_avg_degree(self._degree_sum)
 
-    def bound_base(self):
-        return base_avg_degree(self.graph)
-
-
-class NoSelfApsdEnumerator(Enumerator):
+class NoSelfApsdEnumerator(AverageDegreeEnumerator):
     """All n(n-1) non-self pairs, order free."""
 
-    _dedup_paced = True
     # The cursor runs whenever the queue holds fewer triples than this.
     _refill_below = 4
 
     def __init__(self, graph, mode, counter, dedup):
         super().__init__(graph, mode, counter, dedup)
         self._pending = deque()
-        self._degsum_budget = 0
         self._tmin = None
         self._order = None
         self._rank = None
@@ -185,7 +157,7 @@ class NoSelfApsdEnumerator(Enumerator):
                 order.append(v)
         self._order = order
         self._rank = rank
-        self._degsum_budget = total
+        self._degree_sum = total
         self._tmin = LazyArray(n, c)
 
     def _dedup_key_fn(self):
@@ -245,7 +217,7 @@ class NoSelfApsdEnumerator(Enumerator):
             c.total += 1
             deg = offsets[s + 1] - offsets[s]
             seen += deg
-            self._degsum_budget = seen
+            self._degree_sum = seen
             self._budget_moved()
             if c.total >= c.deadline:
                 yield
@@ -294,9 +266,3 @@ class NoSelfApsdEnumerator(Enumerator):
             yield
         yield from search(self, s, arrays, self._emit, skip_le=skip_le,
                           skip_target=t)
-
-    def _refresh_budget(self):
-        self._budget_cached = self._budget_avg_degree(self._degsum_budget)
-
-    def bound_base(self):
-        return base_avg_degree(self.graph)

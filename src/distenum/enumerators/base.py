@@ -24,6 +24,10 @@ they are available to the machine itself and grow monotonically during
 a run.  declared_bound() is the final budget plus a small constant slop
 covering the worst charge between two deadline checks plus the pop; every
 pull's counted steps stay at or below it.
+
+Two schedule devices of the all-pairs regimes are written here once:
+the self-pair head bank (Enumerator._self_pairs; _degrees when n <= 2)
+and the unordered streams' average-degree budget (AverageDegreeEnumerator).
 """
 from __future__ import annotations
 
@@ -180,11 +184,7 @@ class Enumerator:
             f"in phase {self.phase!r} after {self.emitted} outputs")
 
     def __iter__(self):
-        while True:
-            t = self.pull()
-            if t is None:
-                return
-            yield t
+        return iter(self.pull, None)
 
     def declared_bound(self) -> int:
         """Per-pull step bound the schedule promises never to exceed."""
@@ -208,8 +208,8 @@ class Enumerator:
         raise NotImplementedError
 
     def _refresh_budget(self) -> None:
-        # The default budget tracks the largest degree seen; regimes
-        # stated against the average degree override this and bound_base.
+        # The default budget tracks the largest degree seen;
+        # AverageDegreeEnumerator overrides this and bound_base.
         # Weighted runs add the heap's log factor.
         d = self._dmax_seen
         ell = log2_ceil(self.graph.n) if self.graph.weighted else 0
@@ -254,6 +254,31 @@ class Enumerator:
                 return True
         return False
 
+    def _self_pairs(self):
+        """Bank every (v, v, 0) at one counted step per vertex; return the
+        largest degree.  The pull runs a head phase on a constant budget
+        while the first half goes out; a paced pull can end it mid-loop,
+        so the running degree sum is written at every vertex."""
+        g, c = self.graph, self.counter
+        total = dmax = 0
+        for v in range(g.n):
+            c.total += 1
+            d = g.degree(v)
+            total += d
+            if d > dmax:
+                dmax = d
+            self._degree_sum = total
+            if self._emit(v, v, 0) or c.total >= c.deadline:
+                yield
+        return dmax
+
+    def _degrees(self) -> tuple[int, int]:
+        """(degree sum, max degree) at one counted step per vertex: the
+        pass that stands in for the head phase when n <= 2."""
+        degs = [self.graph.degree(v) for v in range(self.graph.n)]
+        self.counter.total += len(degs)
+        return sum(degs), max(degs, default=0)
+
     def _see_degree(self, deg: int) -> None:
         if deg > self._dmax_seen:
             self._dmax_seen = deg
@@ -265,13 +290,28 @@ class Enumerator:
         if self._pull_start is not None:
             self.counter.deadline = self._pull_start + self._budget_cached
 
-    def _budget_avg_degree(self, degree_sum: int) -> int:
-        n, coeff = self.graph.n, PER_AVG_DEGREE
-        if n == 0:
-            return coeff * self._budget_scale
-        ell = log2_ceil(n) if self.graph.weighted else 0
-        return ceil_div(coeff * (degree_sum + n) * (1 + ell), n) \
-            * self._budget_scale
+
+class AverageDegreeEnumerator(Enumerator):
+    """The unordered pair streams' budget: the average of the degrees the
+    machine has summed so far, or HEAD_BUDGET in a head phase."""
+
+    _dedup_paced = True
+    _degree_sum = 0
+
+    def bound_base(self) -> Fraction:
+        return base_avg_degree(self.graph)
+
+    def _refresh_budget(self) -> None:
+        n = self.graph.n
+        if self.phase == "head":
+            budget = HEAD_BUDGET
+        elif n == 0:
+            budget = PER_AVG_DEGREE
+        else:
+            ell = log2_ceil(n) if self.graph.weighted else 0
+            budget = ceil_div(
+                PER_AVG_DEGREE * (self._degree_sum + n) * (1 + ell), n)
+        self._budget_cached = budget * self._budget_scale
 
 
 def base_max_degree(graph: Graph) -> Fraction:

@@ -6,7 +6,7 @@ distance order.  An instance runs the shared search from searches.py,
 parking each visit until the driver takes it.
 The driver resumes an instance's search itself, inline, so a visit costs
 no generator of its own.  The pool holding the instances decides which
-one goes next.
+one goes next.  With self pairs, base.py's self-pair head bank comes first.
 
 Unweighted pool: a FIFO.  Hop distances make every live instance's next
 production either the level being emitted or the next one, so the head
@@ -186,24 +186,13 @@ class SortedApsdEnumerator(_SortedBase):
 
     def _preprocess(self):
         if self.graph.n <= 2:
-            dmax = 0
-            for v in range(self.graph.n):
-                self.counter.total += 1
-                dmax = max(dmax, self.graph.degree(v))
-            self._dmax_seen = dmax
+            _, self._dmax_seen = self._degrees()
 
     def _run(self):
         g, c = self.graph, self.counter
         n = g.n
-        dmax = self._dmax_seen
-        for v in range(n):
-            c.total += 1
-            d = g.degree(v)
-            if d > dmax:
-                dmax = d
-            if self._emit(v, v, 0) or c.total >= c.deadline:
-                yield
-        self._dmax_seen = dmax
+        # Stored after the bank: a head phase ending mid-bank reads 0.
+        self._dmax_seen = yield from self._self_pairs()
         self._budget_moved()
         if g.weighted:
             yield from self._start_weighted()

@@ -167,33 +167,19 @@ def format_graph(g: Graph) -> str:
     kind = "directed" if g.directed else "undirected"
     w = "weighted" if g.weighted else "unweighted"
     lines = [f"{g.n} {g.m} {kind} {w}"]
-    if g.directed:
-        for u in range(g.n):
-            for i in g.arcs_from(u):
-                v = g.targets[i]
+    for u in range(g.n):
+        loop_seen = 0
+        for i in g.arcs_from(u):
+            v = g.targets[i]
+            if u == v:
+                loop_seen += 1
+            # each undirected edge is stored twice; keep the u < v copy,
+            # and of a self-loop's two adjacent identical arcs the second
+            if g.directed or u < v or (u == v and loop_seen % 2 == 0):
                 if g.weighted:
                     lines.append(f"{u} {v} {g.weights[i]}")
                 else:
                     lines.append(f"{u} {v}")
-    else:
-        # each undirected edge is stored twice; emit the u <= v copy, and
-        # for self-loops (two identical arcs per edge) every second one
-        for u in range(g.n):
-            loop_seen = 0
-            for i in g.arcs_from(u):
-                v = g.targets[i]
-                if u < v:
-                    emit = True
-                elif u == v:
-                    loop_seen += 1
-                    emit = loop_seen % 2 == 0
-                else:
-                    emit = False
-                if emit:
-                    if g.weighted:
-                        lines.append(f"{u} {v} {g.weights[i]}")
-                    else:
-                        lines.append(f"{u} {v}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,5 +1,7 @@
-"""tools/bench_pairs.py: the per-metric summary of paired runs."""
+"""tools/bench_pairs.py: the parent checkout and the per-metric summary
+of paired runs."""
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -69,3 +71,25 @@ def test_summarise_missing_and_zero_parent():
     p99 = out["pull_p99_us"]
     assert p99["ratio"] is None and p99["pair_ratios"] is None
     assert not p99["separated"]
+
+
+def test_checkout_is_a_clone_at_the_commit(tmp_path):
+    def git(*args, cwd=tmp_path / "repo"):
+        return subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=cwd, check=True, capture_output=True, text=True).stdout.strip()
+
+    (tmp_path / "repo").mkdir()
+    git("init", "--quiet")
+    hashes = []
+    for text in ("one", "two"):
+        (tmp_path / "repo" / "f.txt").write_text(text)
+        git("add", "f.txt")
+        git("commit", "--quiet", "-m", text)
+        hashes.append(git("rev-parse", "HEAD"))
+    dest = tmp_path / "parent"
+    bench_pairs.checkout(tmp_path / "repo", hashes[0], dest)
+    # perfbench reads the commit from .git/HEAD, which a worktree lacks
+    assert (dest / ".git").is_dir()
+    assert (dest / ".git" / "HEAD").read_text().strip() == hashes[0]
+    assert (dest / "f.txt").read_text() == "one"

@@ -230,6 +230,12 @@ def test_end_of_stream_idempotent(corpus):
 def test_iter_protocol():
     got = [tuple(t) for t in make_enumerator(path3(), source=0)]
     assert got == [(0, 0, 0), (0, 1, 1), (0, 2, 2)]
+    # a drained enumerator stays drained, through any iterator or pull
+    enum = make_enumerator(path3())
+    it = iter(enum)
+    assert len(list(it)) == 9
+    assert list(it) == [] and list(iter(enum)) == []
+    assert enum.pull() is None and enum.pull() is None
 
 
 class HighWaterQueue(deque):

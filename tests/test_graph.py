@@ -119,6 +119,29 @@ def test_round_trip_fixed_point(corpus):
             assert got == want, (tag, v)
 
 
+# Vertex 0 has two self-loops and two parallel arcs to 1, vertex 1 one
+# self-loop, and (2, 1) is given from its larger end.  Undirected text
+# keeps each edge once, from its smaller end, in stored order.
+PIN_EDGES = [(0, 0, 3), (0, 0, 5), (1, 1, 2), (0, 1, 4), (0, 1, 7), (2, 1, 1)]
+
+
+@pytest.mark.parametrize("directed,weighted,text", [
+    (True, True, "3 6 directed weighted\n"
+     "0 0 3\n0 0 5\n0 1 4\n0 1 7\n1 1 2\n2 1 1\n"),
+    (True, False, "3 6 directed unweighted\n"
+     "0 0\n0 0\n0 1\n0 1\n1 1\n2 1\n"),
+    (False, True, "3 6 undirected weighted\n"
+     "0 0 3\n0 0 5\n0 1 4\n0 1 7\n1 1 2\n1 2 1\n"),
+    (False, False, "3 6 undirected unweighted\n"
+     "0 0\n0 0\n0 1\n0 1\n1 1\n1 2\n"),
+])
+def test_format_graph_pinned_text(directed, weighted, text):
+    edges = PIN_EDGES if weighted else [e[:2] for e in PIN_EDGES]
+    g = from_edge_list(3, edges, directed)
+    assert format_graph(g) == text
+    assert format_graph(parse_graph(text)) == text
+
+
 def test_parse_comments_and_errors():
     g = parse_graph("# a path\n3 2 undirected unweighted\n0 1\n1 2\n")
     assert g.n == 3 and g.m == 2

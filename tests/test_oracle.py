@@ -111,10 +111,12 @@ def test_validate_mode_filters():
     assert validate(no_self, m, OutputMode(no_self=True)) is None
     v = validate(full, m, OutputMode(no_self=True))
     assert v is not None and v.pair[0] == v.pair[1]
+    assert v.reason == "pair not expected for mode"
 
     assert validate(reach, m, OutputMode(reachable_only=True)) is None
     v = validate(full, m, OutputMode(reachable_only=True))
     assert v is not None and m.entry(*v.pair) == INF
+    assert v.reason == "pair not expected for mode"
 
     # stream shaped for a different mode comes back as unexpected or missing
     v = validate(no_self, m, OutputMode())

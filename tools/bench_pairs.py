@@ -5,10 +5,12 @@
 
 Run from anywhere inside the repository.  The change side is HEAD as
 committed, so a tree with uncommitted edits or untracked files is
-refused.  The parent is checked out with `git worktree` into a temporary
-directory (under $TMPDIR), which is removed at the end.  Pair i runs the
-unchanged perfbench/run.py once on each side with seed 201 + i, the
-parent first on even pairs and the change first on odd ones.  The output
+refused.  The parent is checked out in a shared clone in a temporary
+directory (under $TMPDIR), which is removed at the end; a clone's .git
+is a directory, so perfbench's env line can name the parent's commit.
+Pair i runs the unchanged perfbench/run.py once on each side with seed
+201 + i, the parent first on even pairs and the change first on odd
+ones.  The output
 file holds, per workload and end-to-end metric, both sides' runs, medians
 and quartiles, the change/parent ratio of medians, the change's wins out
 of the pairs, and the parent's IQR over its median, flagged `unresolved`
@@ -35,6 +37,14 @@ from pathlib import Path
 def git(root: Path, *args: str) -> str:
     return subprocess.run(["git", "-C", str(root), *args], check=True,
                           capture_output=True, text=True).stdout.strip()
+
+
+def checkout(root: Path, rev: str, dest: Path) -> None:
+    """Check rev out, detached, in a new clone of root at dest that
+    borrows root's objects."""
+    subprocess.run(["git", "clone", "--quiet", "--shared", "--no-checkout",
+                    str(root), str(dest)], check=True, capture_output=True)
+    git(dest, "checkout", "--quiet", "--detach", rev)
 
 
 def bench_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -131,8 +141,7 @@ def main(argv=None) -> int:
               "seeds": [201 + i for i in range(args.pairs)],
               "env": {}, "workloads": {}}
     try:
-        git(root, "worktree", "add", "--detach", str(parent_root),
-            parent_rev)
+        checkout(root, parent_rev, parent_root)
         for workload in workloads:
             runs = {"parent": [], "change": []}
             for i, seed in enumerate(report["seeds"]):
@@ -157,11 +166,7 @@ def main(argv=None) -> int:
             # written after every workload, so a cut run keeps its data
             Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     finally:
-        subprocess.run(["git", "-C", str(root), "worktree", "remove",
-                        "--force", str(parent_root)], capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
-        subprocess.run(["git", "-C", str(root), "worktree", "prune"],
-                       capture_output=True)
     return 0
 
 

@@ -128,36 +128,17 @@ class NoSelfApsdEnumerator(AverageDegreeEnumerator):
         # Weighted rows have no unit-distance head start, so the cursor
         # emits each vertex's cheapest outgoing distance instead, and
         # processing vertices in degree order keeps those scans short
-        # while the queue is still thin.  Counting sort over degrees.
+        # while the queue is still thin.  The sort is stable, so equal
+        # degrees keep vertex order, and it is charged as the counting
+        # sort it stands for: dmax + 1 buckets, n drops, n reads out.
         g, c = self.graph, self.counter
         n = g.n
-        degs = []
-        dmax = 0
-        total = 0
-        for v in range(n):
-            c.total += 1
-            d = g.degree(v)
-            degs.append(d)
-            total += d
-            if d > dmax:
-                dmax = d
-        buckets = []
-        for _ in range(dmax + 1):
-            c.total += 1
-            buckets.append([])
-        for v in range(n):
-            c.total += 1
-            buckets[degs[v]].append(v)
-        order = []
-        rank = [0] * n
-        for bucket in buckets:
-            for v in bucket:
-                c.total += 1
-                rank[v] = len(order)
-                order.append(v)
-        self._order = order
-        self._rank = rank
-        self._degree_sum = total
+        self._degree_sum, dmax = self._degrees()
+        self._order = sorted(range(n), key=g.degree)
+        c.total += dmax + 1 + 2 * n
+        self._rank = [0] * n
+        for i, v in enumerate(self._order):
+            self._rank[v] = i
         self._tmin = LazyArray(n, c)
 
     def _dedup_key_fn(self):

@@ -274,7 +274,8 @@ class Enumerator:
 
     def _degrees(self) -> tuple[int, int]:
         """(degree sum, max degree) at one counted step per vertex: the
-        pass that stands in for the head phase when n <= 2."""
+        degree pass of every setup that needs one, and the stand-in for
+        the head phase when n <= 2."""
         degs = [self.graph.degree(v) for v in range(self.graph.n)]
         self.counter.total += len(degs)
         return sum(degs), max(degs, default=0)

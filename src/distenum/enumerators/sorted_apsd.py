@@ -72,12 +72,14 @@ class _SortedBase(Enumerator):
         # search suspends after each parked visit (the instance's emit
         # returns True) and otherwise only at the deadline, where the
         # driver suspends in turn.  The instance is its own emit: a bound
-        # method per instance slowed setup by about 40%.
+        # method per instance slowed setup by about 40%.  Registration
+        # costs one counted step beside the arrays' allocation steps.
         arrays = search_arrays(self)
         inst = _Instance(s, arrays[0])
         inst.gen = search(self, s, arrays, inst, skip_le=skip_le,
                           sweep=False)
         self._instances.append(inst)
+        self.counter.total += 1
         return inst
 
     # -- the pool driver ---------------------------------------------------
@@ -205,7 +207,6 @@ class SortedApsdEnumerator(_SortedBase):
                 # teardown without producing; fan the row out instead.
                 if has_out_arc(g, c, v):
                     pool.append(self._new_instance(v, 0))
-                    c.total += 1
                 else:
                     self._fans.append(v)
                 if c.total >= c.deadline:
@@ -226,7 +227,6 @@ class SortedApsdEnumerator(_SortedBase):
                     yield
                 continue
             inst = self._new_instance(v, 0)
-            c.total += 1
             if c.total >= c.deadline:
                 yield
             yield from sched.insert_g(best, inst)
@@ -248,11 +248,9 @@ class SortedNoSelfApsdEnumerator(_SortedBase):
         # scheduler heap are built here; unweighted instances wait for
         # the distance-1 cursor to bank their setup cost.
         g, c = self.graph, self.counter
-        dmax = 0
+        _, self._dmax_seen = self._degrees()
         entries = []
         for v in range(g.n):
-            c.total += 1
-            dmax = max(dmax, g.degree(v))
             if not g.weighted:
                 (self._sources if has_out_arc(g, c, v)
                  else self._fans).append(v)
@@ -262,8 +260,6 @@ class SortedNoSelfApsdEnumerator(_SortedBase):
                 self._fans.append(v)
                 continue
             entries.append((best, self._new_instance(v, 0)))
-            c.total += 1
-        self._dmax_seen = dmax
         if g.weighted:
             self._sched = AddressablePQ(c)
             self._sched.build(entries)
@@ -279,7 +275,6 @@ class SortedNoSelfApsdEnumerator(_SortedBase):
             for s in self._sources:
                 c.total += 1
                 pool.append(self._new_instance(s, 1))
-                c.total += 1
                 if c.total >= c.deadline:
                     yield
             yield from self._drive(pool)

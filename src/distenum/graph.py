@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 DEFAULT_WEIGHT_CAP_EXPONENT = 3
 # Largest vertex count accepted.  A safety check on outside input: the
@@ -67,10 +67,6 @@ class Graph:
 
     def arcs_from(self, v: int) -> range:
         return range(self.offsets[v], self.offsets[v + 1])
-
-    def neighbors(self, v: int) -> Iterator[int]:
-        for i in self.arcs_from(v):
-            yield self.targets[i]
 
     def stats(self) -> DegreeStats:
         if self._stats is None:

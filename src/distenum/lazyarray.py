@@ -155,9 +155,6 @@ class LazyArray:
     def _range_error(self, x: int) -> IndexError:
         return IndexError(f"index {x} out of range for capacity {self.capacity}")
 
-    def __len__(self) -> int:
-        return self.capacity
-
     def __del__(self):
         try:
             lists = self._index, self._back, self._value

@@ -1,6 +1,7 @@
 """tools/bench_pairs.py: the parent checkout and the per-metric summary
 of paired runs."""
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -73,23 +74,63 @@ def test_summarise_missing_and_zero_parent():
     assert not p99["separated"]
 
 
-def test_checkout_is_a_clone_at_the_commit(tmp_path):
-    def git(*args, cwd=tmp_path / "repo"):
+def make_repo(path, commits):
+    """A git repo at path with one commit per {file name: text} dict;
+    return the commit hashes."""
+    def git(*args):
         return subprocess.run(
             ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
-            cwd=cwd, check=True, capture_output=True, text=True).stdout.strip()
+            cwd=path, check=True, capture_output=True, text=True).stdout.strip()
 
-    (tmp_path / "repo").mkdir()
+    path.mkdir()
     git("init", "--quiet")
     hashes = []
-    for text in ("one", "two"):
-        (tmp_path / "repo" / "f.txt").write_text(text)
-        git("add", "f.txt")
-        git("commit", "--quiet", "-m", text)
+    for files in commits:
+        for name, text in files.items():
+            (path / name).write_text(text)
+        git("add", "-A")
+        git("commit", "--quiet", "-m", "commit")
         hashes.append(git("rev-parse", "HEAD"))
+    return hashes
+
+
+def test_checkout_is_a_clone_at_the_commit(tmp_path):
+    hashes = make_repo(tmp_path / "repo", [{"f.txt": "one"},
+                                           {"f.txt": "two"}])
     dest = tmp_path / "parent"
     bench_pairs.checkout(tmp_path / "repo", hashes[0], dest)
     # perfbench reads the commit from .git/HEAD, which a worktree lacks
     assert (dest / ".git").is_dir()
     assert (dest / ".git" / "HEAD").read_text().strip() == hashes[0]
     assert (dest / "f.txt").read_text() == "one"
+
+
+def test_both_sides_run_in_fresh_clones(tmp_path, monkeypatch):
+    # Neither side may run in the working repository, whose caches and
+    # test leftovers would follow only the change side.
+    repo = tmp_path / "repo"
+    spec = json.dumps({"workloads": [{"name": "w"}], "end_to_end": METRICS})
+    hashes = make_repo(repo, [{"f.txt": "one", "BENCHMARK.json": spec},
+                              {"f.txt": "two"}])
+    measured = []
+
+    def fake_bench_once(root, workload, seed, seconds):
+        measured.append((root, (root / "f.txt").read_text(),
+                         (root / ".git" / "HEAD").read_text().strip()))
+        return {"metrics": {m["name"]: {"value": 1.0} for m in METRICS},
+                "attempted": 1, "failed": 0, "fingerprint": None,
+                "env": None}
+
+    monkeypatch.setattr(bench_pairs, "bench_once", fake_bench_once)
+    monkeypatch.chdir(repo)
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(["--out", str(out), "--pairs", "2",
+                             "--seconds", "0"]) == 0
+    assert len(measured) == 4
+    for root, _, _ in measured:
+        assert repo not in (root, *root.parents)
+        assert not root.exists()    # the clones are removed at the end
+    assert {text: commit for _, text, commit in measured} == \
+        {"one": hashes[0], "two": hashes[1]}
+    report = json.loads(out.read_text())
+    assert (report["parent"], report["change"]) == tuple(hashes)

@@ -5,9 +5,11 @@
 
 Run from anywhere inside the repository.  The change side is HEAD as
 committed, so a tree with uncommitted edits or untracked files is
-refused.  The parent is checked out in a shared clone in a temporary
-directory (under $TMPDIR), which is removed at the end; a clone's .git
-is a directory, so perfbench's env line can name the parent's commit.
+refused.  Each side is checked out in its own shared clone in a
+temporary directory (under $TMPDIR), which is removed at the end, so
+neither side runs in the working repository or carries its caches and
+test leftovers; a clone's .git is a directory, so perfbench's env line
+can name each side's commit.
 Pair i runs the unchanged perfbench/run.py once on each side with seed
 201 + i, the parent first on even pairs and the change first on odd
 ones.  The output
@@ -133,24 +135,25 @@ def main(argv=None) -> int:
                 "files; commit or stash them so HEAD names the measured code")
     spec = json.loads((root / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
-    parent_rev = git(root, "rev-parse", args.parent)
+    revs = {"parent": git(root, "rev-parse", args.parent),
+            "change": git(root, "rev-parse", "HEAD")}
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
-    parent_root = tmp / "parent"
-    report = {"parent": parent_rev, "change": git(root, "rev-parse", "HEAD"),
+    roots = {side: tmp / side for side in revs}
+    report = {**revs,
               "pairs": args.pairs, "seconds": args.seconds,
               "seeds": [201 + i for i in range(args.pairs)],
               "env": {}, "workloads": {}}
     try:
-        checkout(root, parent_rev, parent_root)
+        for side, rev in revs.items():
+            checkout(root, rev, roots[side])
         for workload in workloads:
             runs = {"parent": [], "change": []}
             for i, seed in enumerate(report["seeds"]):
                 order = ("parent", "change") if i % 2 == 0 \
                     else ("change", "parent")
                 for side in order:
-                    side_root = parent_root if side == "parent" else root
                     runs[side].append(
-                        bench_once(side_root, workload, seed, args.seconds))
+                        bench_once(roots[side], workload, seed, args.seconds))
                     report["env"].setdefault(side, side_env(runs[side][-1]))
                     print(f"{workload} pair {i + 1}/{args.pairs} {side} done",
                           file=sys.stderr, flush=True)

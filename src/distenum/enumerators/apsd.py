@@ -209,8 +209,10 @@ class NoSelfApsdEnumerator(AverageDegreeEnumerator):
                     yield
             else:
                 # Only loops or nothing at all: the row is all
-                # unreachable and needs no search.
-                yield from fan_row(self, s)
+                # unreachable and needs no search.  Dedup keeps (s, t)
+                # only for t > s, so the row starts there: a late row
+                # would otherwise be n filtered steps that bank nothing.
+                yield from fan_row(self, s, s + 1 if self.dedup else 0)
 
     def _weighted_cursor(self):
         g, c = self.graph, self.counter

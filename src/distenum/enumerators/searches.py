@@ -254,10 +254,11 @@ def sweep_unreached(enum, s: int, dist: LazyArray):
         t += 1
 
 
-def fan_row(enum, s: int):
-    """Emit (s, t, inf) for every t != s: the row of a vertex with no way out."""
+def fan_row(enum, s: int, first: int = 0):
+    """Emit (s, t, inf) for every t != s from first on: the row of a
+    vertex with no way out."""
     counter = enum.counter
-    for t in range(enum.graph.n):
+    for t in range(first, enum.graph.n):
         counter.total += 1
         stop = t != s and enum._emit(s, t, INFINITE)
         if stop or counter.total >= counter.deadline:
@@ -311,41 +312,3 @@ def cheapest_out_arc(g, counter, v: int):
         if counter.total >= counter.deadline:
             yield
     return best_w, best_t
-
-
-def components(g, counter):
-    """Label connected components breadth-first, checking the deadline per
-    step; return (comp, comps): each vertex's component id, each
-    component's members."""
-    offsets, targets = g.offsets, g.targets
-    comp = [-1] * g.n
-    comps: list[list[int]] = []
-    for v in range(g.n):
-        counter.total += 1
-        if comp[v] >= 0:
-            if counter.total >= counter.deadline:
-                yield
-            continue
-        cid = len(comps)
-        comps.append([v])
-        comp[v] = cid
-        counter.total += 1
-        frontier = deque([v])
-        if counter.total >= counter.deadline:
-            yield
-        while frontier:
-            counter.total += 1
-            u = frontier.popleft()
-            if counter.total >= counter.deadline:
-                yield
-            for i in range(offsets[u], offsets[u + 1]):
-                counter.total += 1
-                w = targets[i]
-                if comp[w] < 0:
-                    comp[w] = cid
-                    comps[cid].append(w)
-                    counter.total += 1
-                    frontier.append(w)
-                if counter.total >= counter.deadline:
-                    yield
-    return comp, comps

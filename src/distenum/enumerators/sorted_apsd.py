@@ -21,10 +21,13 @@ instance is reinserted under the distance of its freshly produced pair,
 so extraction order is emission order.  A finished instance is dropped.
 
 Unreachable pairs carry the largest distance and close the stream.
-Rows of vertices that never got an instance are emitted directly; the
-rest come from connected components (undirected, constant work per
-pair) or from per-instance sweeps gated on a full-reach check
-(directed; an instance whose distance array holds n cells is skipped).
+Rows of vertices that never got an instance are emitted directly.
+Undirected, a finished instance's distance array holds exactly its
+source's connected component, and as a sparse set (Briggs & Torczon,
+1993) it lists those members in O(members): the closing phase labels
+each component off its smallest vertex's array, or as a lone fan, at
+one step per vertex, and emits the cross pairs with constant work per
+pair.  Directed, each instance's array is swept unless it holds n cells.
 Space is quadratic: every instance keeps its distance array alive so
 the closing phase can read it.
 """
@@ -33,8 +36,8 @@ from __future__ import annotations
 from collections import deque
 
 from .base import PER_POOL_DEGREE, Enumerator, INFINITE
-from .searches import (cheapest_out_arc, components, fan_row, has_out_arc,
-                       search, search_arrays, sweep_unreached, unit_arcs)
+from .searches import (cheapest_out_arc, fan_row, has_out_arc, search,
+                       search_arrays, sweep_unreached, unit_arcs)
 from ..pq import AddressablePQ, drain
 
 
@@ -146,11 +149,33 @@ class _SortedBase(Enumerator):
             yield from self._inf_undirected()
 
     def _inf_undirected(self):
-        # A pair is unreachable exactly when its endpoints sit in
-        # different connected components, so label components once and
-        # emit cross pairs with constant work each.
-        c = self.counter
-        comp, comps = yield from components(self.graph, c)
+        # (s, t) is unreachable exactly when t lies outside s's
+        # component.  The finished search from s wrote exactly that
+        # component, and a fan is a component of its own; every vertex
+        # is one or the other, both lists in vertex order.  So number
+        # each component by its smallest vertex, label its members off
+        # that vertex's distance array and emit cross pairs with
+        # constant work each.
+        c, n = self.counter, self.graph.n
+        comp = [-1] * n
+        comps = []
+        insts = iter(self._instances)
+        inst = next(insts, None)
+        for v in range(n):
+            c.total += 1
+            dist = None
+            if inst is not None and inst.s == v:
+                dist, inst = inst.dist, next(insts, None)
+            if comp[v] < 0:
+                members = (v,) if dist is None else dist.written()
+                for t in members:
+                    c.total += 1
+                    comp[t] = len(comps)
+                    if c.total >= c.deadline:
+                        yield
+                comps.append(members)
+            if c.total >= c.deadline:
+                yield
         if len(comps) <= 1:
             return
         for inst in self._instances:

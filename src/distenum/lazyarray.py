@@ -25,6 +25,9 @@ fields directly in its hot loops: it applies the test above itself,
 writes new cells as write() does and charges the same counted steps in
 one add.  Its Dijkstra search also writes the dist and handles cells
 inline in the arc scan block, and the settled cell at every settle.
+Any other reader of the written cells as a set calls written(), which
+lists them in write order; the sorted stream's undirected closing phase
+reads each finished search's component that way.
 
 Recycling.  A dead array hands its three backing lists to a spare store
 that keeps at most three such sets (one weighted search's dist, settled
@@ -140,6 +143,11 @@ class LazyArray:
         self._back[p] = x
         self._value[p] = value
         self.written_count = p + 1
+
+    def written(self) -> list:
+        """The written indices, in the order of their first write.  It
+        costs no counted step: the caller charges its walk of them."""
+        return self._back[:self.written_count]
 
     def reset(self) -> None:
         """Forget every written cell in constant time (one counted step)."""

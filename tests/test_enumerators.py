@@ -205,6 +205,32 @@ def test_dedup_clique_path_drains(mode):
     assert rep.max_delay <= 2 * plain.max_delay + 64
 
 
+@pytest.mark.parametrize("g", [
+    from_edge_list(53, [(i, i + 1) for i in range(50)], False),
+    gen_random(88, 25, seed=25),
+], ids=["path-plus-isolated", "sparse-random"])
+def test_dedup_noself_late_fan_rows_drain(g):
+    # Under dedup a late isolated vertex's row keeps only its pairs past
+    # the vertex; walked from 0, it spends n filtered steps that bank
+    # nothing, and the queue runs dry.
+    assert_valid_run(g, brute_force_matrix(g), OutputMode(no_self=True),
+                     dedup=True)
+
+
+@pytest.mark.xfail(raises=ScheduleUnderflow, strict=True,
+                   reason="the directed closing phase sweeps all n cells of "
+                          "each incomplete instance to find one pair")
+@pytest.mark.parametrize("mode", [OutputMode(sorted=True),
+                                  OutputMode(sorted=True, no_self=True)],
+                         ids=["sorted", "no_self+sorted"])
+def test_sorted_directed_closing_sweeps_underflow(mode):
+    # A directed cycle 1..36 plus 0 -> 1: every instance on the cycle
+    # misses only vertex 0, so each sweep is Theta(n) work for one pair.
+    g = from_edge_list(37, [(i, i % 36 + 1) for i in range(1, 37)]
+                       + [(0, 1)], True)
+    assert_valid_run(g, brute_force_matrix(g), mode)
+
+
 def test_dedup_rejected_on_directed():
     g = from_edge_list(2, [(0, 1)], True)
     with pytest.raises(ValueError):

@@ -158,6 +158,18 @@ def test_reset_costs_one_step_and_allocates_nothing():
     assert (c.lazy_alloc_count, c.lazy_live_cells) == (1, 1000)
 
 
+def test_written_lists_first_writes_in_order_at_no_step():
+    c = StepCounter()
+    a = LazyArray(50, c, garbage_rng=random.Random(3))
+    for x in (9, 4, 9, 31, 0, 4):
+        a.write(x, -x)
+    before = c.total
+    assert a.written() == [9, 4, 31, 0]
+    assert c.total == before
+    a.reset()
+    assert a.written() == []
+
+
 def test_release_idempotent_and_space_accounting():
     c = StepCounter()
     a = LazyArray(100, c)

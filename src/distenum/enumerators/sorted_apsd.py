@@ -26,7 +26,7 @@ Undirected, a finished instance's distance array holds exactly its
 source's connected component, and as a sparse set (Briggs & Torczon,
 1993) it lists those members in O(members): the closing phase labels
 each component off its smallest vertex's array, or as a lone fan, at
-one step per vertex, and emits the cross pairs with constant work per
+two steps per vertex, and emits the cross pairs with constant work per
 pair.  Directed, each instance's array is swept unless it holds n cells.
 Space is quadratic: every instance keeps its distance array alive so
 the closing phase can read it.

@@ -10,21 +10,24 @@ solution queue), a sorted pool instance one that parks the triple for
 the pool's driver and returns True.  The enumerator's _emit also asks
 on the append that fills the queue to its cap, so banked output stays
 linear in n with no check of its own here.  Unless told otherwise a
-search ends with a sweep that reports unreached targets.  Sequential
-machines keep one array set per run and reset it per source
-(reuse_arrays).  Each scan below serves several machines with the same
-steps and suspension points; unit_arcs is the unweighted cursors'
-distance-1 scan, which marks heads so parallel arcs give one pair.
+search ends with a sweep that reports unreached targets.  A search
+keeps one lazy array, written per reached vertex in discovery order:
+hop distances in a BFS, heap handles in a Dijkstra search.  Sequential
+machines keep it per run and reset it per source (reuse_arrays).  Each
+scan below serves several machines with the same steps and suspension
+points; unit_arcs is the unweighted cursors' distance-1 scan, which
+marks heads so parallel arcs give one pair.
 
 Headroom blocks.  A stretch with a known worst case and no emit runs
 unchecked, its steps charged in one add, when the budget left in the
 pull is strictly larger than that worst case: per arc 4 steps in a BFS
-scan and 4 + bit_length(len(pq) + deg) in a Dijkstra scan, 2 per
+scan and 2 + bit_length(len(pq) + deg) in a Dijkstra scan, 2 per
 written sweep cell.  A search moves its budget only at _see_degree,
 before a scan, so no block reaches the deadline and each pull stops
 where the checked loop would.  No block spans an emit, which may ask to
-suspend.  Blocks test lazy cells inline; the Dijkstra block and plain
-extraction also write them inline and run the heap on its lists.
+suspend.  Blocks test lazy cells inline; the Dijkstra block also
+writes them inline, and it and plain extraction run the heap on its
+lists.
 """
 from __future__ import annotations
 
@@ -37,18 +40,15 @@ from ..pq import AddressablePQ, sift_down, sift_up
 
 
 def search_arrays(enum) -> list[LazyArray]:
-    """Fresh arrays for one search: dist, plus settled and handles if weighted."""
-    g = enum.graph
-    return [LazyArray(g.n, enum.counter)
-            for _ in range(3 if g.weighted else 1)]
+    """A fresh array set for one search: its one lazy array."""
+    return [LazyArray(enum.graph.n, enum.counter)]
 
 
 def reuse_arrays(enum, arrays: list) -> None:
     """Fill the caller's empty array set, or reset it for the next search;
-    either way one counted step per array."""
+    either way one counted step."""
     if arrays:
-        for arr in arrays:
-            arr.reset()
+        arrays[0].reset()
     else:
         arrays.extend(search_arrays(enum))
 
@@ -61,7 +61,8 @@ def search(enum, s: int, arrays, emit, *, skip_le: int = -1,
     dropping the self pair only, plus the one target skip_target.
     """
     if enum.graph.weighted:
-        return dijkstra_search(enum, s, *arrays, emit, skip_self=skip_le >= 0,
+        return dijkstra_search(enum, s, arrays[0], emit,
+                               skip_self=skip_le >= 0,
                                skip_target=skip_target, sweep=sweep)
     return bfs_search(enum, s, arrays[0], emit, skip_le=skip_le, sweep=sweep)
 
@@ -120,18 +121,19 @@ def bfs_search(enum, s: int, dist: LazyArray, emit, *, skip_le: int = -1,
         yield from sweep_unreached(enum, s, dist)
 
 
-def dijkstra_search(enum, s: int, dist: LazyArray, settled: LazyArray,
-                    handles: LazyArray, emit, *, skip_self: bool = False,
-                    skip_target: int | None = None, sweep: bool = True):
-    """Best-first search from s, emitting settles in distance order."""
+def dijkstra_search(enum, s: int, handles: LazyArray, emit, *,
+                    skip_self: bool = False, skip_target: int | None = None,
+                    sweep: bool = True):
+    """Best-first search from s, emitting settles in distance order.
+
+    handles maps each reached vertex to its heap handle, whose key is
+    the vertex's distance, final once extracted (pos[h] < 0)."""
     counter = enum.counter
     offsets, targets, weights = (enum.graph.offsets, enum.graph.targets,
                                  enum.graph.weights)
-    s_index, s_back = settled._index, settled._back
     pq = AddressablePQ(counter)
     heap, pos, keys, payloads = pq._heap, pq._pos, pq._keys, pq._payloads
-    scan = _arc_block(targets, weights, dist, settled, handles, pq)
-    dist.write(s, 0)
+    scan = _arc_block(targets, weights, handles, pq)
     handles.write(s, pq.insert(0, s))   # into an empty heap: no comparison
     if counter.total >= counter.deadline:
         yield
@@ -147,32 +149,28 @@ def dijkstra_search(enum, s: int, dist: LazyArray, settled: LazyArray,
             d, v = keys[h], payloads[h]
         else:
             d, v = yield from pq.extract_min_g()
-        s_wc = settled.written_count    # v settles once: its cell is new
-        s_index[v], s_back[s_wc], settled._value[s_wc] = s_wc, v, 1
-        settled.written_count = s_wc + 1
-        counter.total += 1
+        counter.total += 1      # the settle
         lo, hi = offsets[v], offsets[v + 1]
         deg = hi - lo
         enum._see_degree(deg)
         if counter.total >= counter.deadline:
             yield
         if counter.deadline - counter.total \
-                > deg * (4 + (len(heap) + deg).bit_length()):
+                > deg * (2 + (len(heap) + deg).bit_length()):
             counter.total += scan(d, lo, hi)
         else:
             for i in range(lo, hi):
                 counter.total += 1
                 w = targets[i]
-                if settled.read(w) is None:
+                h = handles.read(w)
+                if h is None:
+                    hw = yield from pq.insert_g(d + weights[i], w)
+                    handles.write(w, hw)
+                elif pos[h] >= 0:
                     nd = d + weights[i]
-                    dw = dist.read(w)
-                    if dw is None:
-                        dist.write(w, nd)
-                        hw = yield from pq.insert_g(nd, w)
-                        handles.write(w, hw)
-                    elif nd < dw:
-                        dist.write(w, nd)
-                        yield from pq.decrease_key_g(handles.read(w), nd)
+                    counter.total += 1
+                    if nd < keys[h]:
+                        yield from pq.decrease_key_g(h, nd)
                 if counter.total >= counter.deadline:
                     yield
         parked = (v != s or not skip_self) and v != skip_target \
@@ -180,53 +178,44 @@ def dijkstra_search(enum, s: int, dist: LazyArray, settled: LazyArray,
         if parked or counter.total >= counter.deadline:
             yield
     if sweep:
-        yield from sweep_unreached(enum, s, dist)
+        yield from sweep_unreached(enum, s, handles)
 
 
-def _arc_block(targets, weights, dist, settled, handles, pq):
+def _arc_block(targets, weights, handles, pq):
     """Return scan(d, lo, hi): dijkstra_search's arc scan as a headroom
-    block on the arrays' and the heap's lists.  It returns its counted
-    steps: per arc 2, per new vertex or decrease 3 more, per other read 1.
+    block on the handle map's and the heap's lists.  It returns its
+    counted steps: per arc 2, per new or live head 1 more plus its sift.
     The closure keeps these lists out of the search's generator, which a
     sorted pool holds one of per source: on CPython 3.11 a generator past
     pymalloc's 512 bytes raised a 300-vertex drain's peak RSS by 6-12%."""
-    s_index, s_back = settled._index, settled._back
-    d_index, d_back, d_value = dist._index, dist._back, dist._value
     h_index, h_back, h_value = handles._index, handles._back, handles._value
     heap, pos, keys, payloads = pq._heap, pq._pos, pq._keys, pq._payloads
 
     def scan(d, lo, hi):
-        s_wc = settled.written_count
-        d_wc, h_wc = dist.written_count, handles.written_count
+        h_wc = handles.written_count
         steps = 2 * (hi - lo)
         for i in range(lo, hi):
             w = targets[i]
-            p = s_index[w]
-            if 0 <= p < s_wc and s_back[p] == w:
-                continue
-            nd = d + weights[i]
-            p = d_index[w]
-            if not (0 <= p < d_wc and d_back[p] == w):
-                d_index[w], d_back[d_wc], d_value[d_wc] = d_wc, w, nd
-                d_wc += 1
+            p = h_index[w]
+            if 0 <= p < h_wc and h_back[p] == w:
+                h = h_value[p]
+                if pos[h] < 0:
+                    continue        # extracted: final
+                nd = d + weights[i]
+                steps += 1
+                if nd < keys[h]:
+                    keys[h] = nd
+                    steps += sift_up(heap, pos, keys, pos[h])
+            else:
                 h, j = len(keys), len(heap)
-                keys.append(nd)
+                keys.append(d + weights[i])
                 payloads.append(w)
                 pos.append(j)
                 heap.append(h)
                 h_index[w], h_back[h_wc], h_value[h_wc] = h_wc, w, h
                 h_wc += 1
-                steps += 3 + sift_up(heap, pos, keys, j)
-            elif nd < d_value[p]:
-                d_value[p] = nd
-                h = h_value[h_index[w]]     # written with w's dist cell
-                if pos[h] < 0:
-                    raise ValueError(f"handle {h} is not live")
-                keys[h] = nd
-                steps += 3 + sift_up(heap, pos, keys, pos[h])
-            else:
-                steps += 1
-        dist.written_count, handles.written_count = d_wc, h_wc
+                steps += 1 + sift_up(heap, pos, keys, j)
+        handles.written_count = h_wc
         return steps
     return scan
 

@@ -22,14 +22,15 @@ so extraction order is emission order.  A finished instance is dropped.
 
 Unreachable pairs carry the largest distance and close the stream.
 Rows of vertices that never got an instance are emitted directly.
-Undirected, a finished instance's distance array holds exactly its
-source's connected component, and as a sparse set (Briggs & Torczon,
-1993) it lists those members in O(members): the closing phase labels
-each component off its smallest vertex's array, or as a lone fan, at
-two steps per vertex, and emits the cross pairs with constant work per
-pair.  Directed, each instance's array is swept unless it holds n cells.
-Space is quadratic: every instance keeps its distance array alive so
-the closing phase can read it.
+Undirected, a finished instance's search array (hop distances or heap
+handles) holds exactly its source's connected component, and as a
+sparse set (Briggs & Torczon, 1993) it lists those members in
+O(members): the closing phase labels each component off its smallest
+vertex's array, or as a lone fan, at two steps per vertex, and emits
+the cross pairs with constant work per pair.  Directed, each
+instance's array is swept unless it holds n cells.
+Space is quadratic: every instance keeps its search array, one n-cell
+lazy array, alive so the closing phase can read it.
 """
 from __future__ import annotations
 
@@ -42,7 +43,8 @@ from ..pq import AddressablePQ, drain
 
 
 class _Instance:
-    """A pool member: one search from s; as its emit, parks each visit."""
+    """A pool member: one search from s on its array dist, written per
+    reached vertex; as its emit, parks each visit."""
 
     __slots__ = ("s", "dist", "gen", "pending")
 
@@ -154,7 +156,7 @@ class _SortedBase(Enumerator):
         # component, and a fan is a component of its own; every vertex
         # is one or the other, both lists in vertex order.  So number
         # each component by its smallest vertex, label its members off
-        # that vertex's distance array and emit cross pairs with
+        # that vertex's search array and emit cross pairs with
         # constant work each.
         c, n = self.counter, self.graph.n
         comp = [-1] * n
@@ -194,7 +196,7 @@ class _SortedBase(Enumerator):
 
     def _inf_directed(self):
         # No component shortcut under direction; sweep each incomplete
-        # instance's distance array and skip the fully reaching ones.
+        # instance's search array and skip the fully reaching ones.
         c, n = self.counter, self.graph.n
         for inst in self._instances:
             c.total += 1

@@ -23,29 +23,28 @@ pointers then fail the back-pointer test like any garbage.
 Inline cell tests: enumerators/searches.py, and only it, reads these
 fields directly in its hot loops: it applies the test above itself,
 writes new cells as write() does and charges the same counted steps in
-one add.  Its Dijkstra search also writes the dist and handles cells
-inline in the arc scan block, and the settled cell at every settle.
-Any other reader of the written cells as a set calls written(), which
-lists them in write order; the sorted stream's undirected closing phase
-reads each finished search's component that way.
+one add.  Any other reader of the written cells as a set calls
+written(), which lists them in write order; the sorted stream's
+undirected closing phase reads each finished search's component that
+way.
 
 Recycling.  A dead array hands its three backing lists to a spare store
-that keeps at most three such sets (one weighted search's dist, settled
-and handles), all of the capacity freed most recently; a new array of
-that capacity takes a set instead of allocating, unless it was built
-with garbage_rng.  Allocation keeps its one counted step and its
+that keeps one such set, of the capacity freed most recently; a new
+array of that capacity takes the set instead of allocating, unless it
+was built with garbage_rng.  Every search keeps one array, so one set
+covers a search.  Allocation keeps its one counted step and its
 record_alloc, so no report moves.  A recycled list is an old object,
 so the collector's young passes inside a pull skip it.  A kept set is
 zeroed in place from one shared zero list, so a pull that overwrites a
-cell frees no stale value.  A death that finds the store full keeps
-nothing and returns at once; one of another capacity drops the kept
-sets and starts the store over at its own capacity.  Sets come back
-when the array dies: at once for an array dropped by reference count,
-and at the next collection for one held in a cycle, as every
-enumerator is (it and its machine refer to each other); perfbench's
-timed_stream collects before each stream, so there a dead query's sets
-are back before the next query starts.  Only the array, and code that
-it outlives, may hold its lists: the searches bind them to locals of a
+cell frees no stale value.  A death that finds a set kept keeps nothing
+and returns at once; one of another capacity drops the kept set and
+starts the store over at its own capacity.  A set comes back when its
+array dies: at once for an array dropped by reference count, and at
+the next collection for one held in a cycle, as every enumerator is
+(it and its machine refer to each other); perfbench's timed_stream
+collects before each stream, so there a dead query's set is back
+before the next query starts.  Only the array, and code that it
+outlives, may hold its lists: the searches bind them to locals of a
 frame that also holds the array.
 """
 from __future__ import annotations
@@ -56,32 +55,32 @@ from .metering import StepCounter
 
 
 class _Spares:
-    """Zeroed backing-list sets of the capacity freed most recently."""
-    __slots__ = ("zeros", "sets")
-    keep = 3                # one weighted search: dist, settled, handles
+    """A zeroed backing-list set of the capacity freed most recently."""
+    __slots__ = ("zeros", "spare")
 
     def __init__(self):
         self.zeros = []     # shared zero list; its length is the capacity
-        self.sets = []      # at most keep (index, back, value) sets
+        self.spare = None   # the kept (index, back, value) set, if any
 
     def take(self, capacity: int) -> tuple:
-        """A zeroed set of the capacity: a spare if one is kept, else new."""
-        if self.sets and len(self.zeros) == capacity:
-            return self.sets.pop()
+        """A zeroed set of the capacity: the spare if one is kept, else new."""
+        spare = self.spare
+        if spare is not None and len(self.zeros) == capacity:
+            self.spare = None
+            return spare
         return [0] * capacity, [0] * capacity, [0] * capacity
 
     def give(self, index: list, back: list, value: list) -> None:
         n = len(index)
         if n != len(self.zeros):
-            self.sets.clear()
             self.zeros = [0] * n
-        elif len(self.sets) >= self.keep:
+        elif self.spare is not None:
             return
         zeros = self.zeros
         index[:] = zeros
         back[:] = zeros
         value[:] = zeros
-        self.sets.append((index, back, value))
+        self.spare = index, back, value
 
 
 _spares = _Spares()

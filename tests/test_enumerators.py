@@ -218,6 +218,20 @@ def test_dedup_noself_late_fan_rows_drain(g):
 
 
 @pytest.mark.xfail(raises=ScheduleUnderflow, strict=True,
+                   reason="dedup pacing: late path rows keep few pairs, so "
+                          "their searches are almost pure filtering")
+@pytest.mark.parametrize("n, mode", [(207, OutputMode(no_self=True)),
+                                     (300, OutputMode())],
+                         ids=["no_self-207", "plain-300"])
+def test_dedup_long_path_drains(n, mode):
+    # A plain path with no isolated vertex: once the cursor is done the
+    # late rows' searches bank almost nothing, and the queue runs dry
+    # (after 7,821 outputs under no-self, 15,945 unconstrained).
+    g = from_edge_list(n, [(i, i + 1) for i in range(n - 1)], False)
+    assert_valid_run(g, brute_force_matrix(g), mode, dedup=True)
+
+
+@pytest.mark.xfail(raises=ScheduleUnderflow, strict=True,
                    reason="the directed closing phase sweeps all n cells of "
                           "each incomplete instance to find one pair")
 @pytest.mark.parametrize("mode", [OutputMode(sorted=True),

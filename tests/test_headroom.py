@@ -48,7 +48,7 @@ class Probe:
 def _graphs():
     # Self-loops, parallel arcs and an unreachable tail (the last two
     # vertices) in each.  Source 0's single arc in the weighted graphs
-    # is scanned with an empty heap: its worst case, 5 steps, is met.
+    # is scanned with an empty heap: its worst case, 3 steps, is met.
     und = from_edge_list(8, [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 2),
                              (2, 4), (3, 5), (4, 5), (6, 7)], False)
     dig = from_edge_list(8, [(0, 1), (0, 2), (0, 2), (2, 2), (1, 3), (2, 4),
@@ -162,12 +162,12 @@ def test_dijkstra_generator_is_a_small_object():
 # triples, each with its pull's counted steps.  The heaps grow to
 # hundreds of entries, so the guards' bit_length terms move.
 LARGE_HEAP_PINS = {
-    0: "e0de1b9f3b0acc3b3873b6a7a3ddec46192df318c725ef574df05dba0fa13e12",
-    500: "6732b098dae11d962c5e027a2d66f6cd121738b1aad62bd29044d5e910b33eb1",
-    1000: "abd8d36701aba35c9db3b7183cce90bd59cd6405df9a96ae9e16bcd6f9cc4219",
-    1500: "ca33a0bcb90c9a83179a3a57bcb93694bd252d47231f9c1c36e822c0fc62967b",
-    2000: "dc6fd2c6462d4d4489a1b87c525c7c7a1142f6f63b4001de9d6d1e49bf44bd52",
-    2500: "7407987e1a501186dbf70eceb93d74f8aa858f46e1ae8e46bac9775a0a7e28ef",
+    0: "c829d8be59b623d29359cba56d12310ad7a2fe9a96d00c427937d3daddcd4ba9",
+    500: "73abac150f13012d9f1931e9808632a0ff0ea1efd7cc5ebbdef4f5ec7759fa30",
+    1000: "930e3aa70353f53449b8010b5d99c31477c89a8b46c7c21a0857b94291334897",
+    1500: "2698f6c8999f9c463b2463d7bfa5b99fff7e2cc49734b06cee7574ec882c38d0",
+    2000: "5b040c8088b341c39d6171fa20c8bc349cc469718a450c8e3595e74e3dec4f96",
+    2500: "2a896cadcbb2fcf099a712574f2e85771d024c94932572a19088df3367024e17",
 }
 
 

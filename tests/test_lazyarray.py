@@ -230,16 +230,17 @@ def test_garbage_array_never_takes_spares():
     assert any(b._index) and not any(b.is_written(x) for x in range(97))
 
 
-def test_spares_stay_at_three_sets():
+def test_spares_stay_at_one_set():
     gc.collect()
     arrays = [LazyArray(61) for _ in range(20)]
     for a in arrays:
         a.write(5, 10 ** 7)
     del arrays, a
     gc.collect()
-    sets = lazyarray._spares.sets
-    assert 0 < len(sets) <= 3
-    assert all(len(lst) == 61 for s in sets for lst in s)
+    spare = lazyarray._spares.spare
+    assert isinstance(spare, tuple) and len(spare) == 3
+    assert all(type(lst) is list and len(lst) == 61 and not any(lst)
+               for lst in spare)
 
 
 def test_finalizer_quiet_at_interpreter_exit():

@@ -111,9 +111,11 @@ def test_queue_never_exceeds_cap():
 
 def write_fingerprints():
     """Store fresh values, naming first each entry that moved (a field
-    differs from the stored one) and its moved fields."""
+    differs from the stored one) and its moved fields, after a tally of
+    the entries whose max_delay fell and rose."""
     old = json.loads(DATA.read_text()) if DATA.exists() else {}
     data, moved = {}, []
+    fell = rose = 0
     for key, g, mode, source, dedup in fingerprint_runs():
         got = measure(g, mode, source, dedup)
         want = old.get(key, {})
@@ -122,9 +124,13 @@ def write_fingerprints():
                   if field not in want or value != want[field]]
         if fields:
             moved.append(f"{key}: " + "; ".join(fields))
+        if "max_delay" in want:
+            fell += got["max_delay"] < want["max_delay"]
+            rose += got["max_delay"] > want["max_delay"]
         data[key] = got
     moved += [f"{key}: dropped" for key in sorted(old.keys() - data.keys())]
     print(f"{len(moved)} of {len(data)} entries moved")
+    print(f"max_delay fell in {fell} entries and rose in {rose}")
     for line in moved:
         print(line)
     DATA.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")

@@ -341,7 +341,7 @@ def dijkstra_row(g, s):
 
 def test_recycled_arrays_repeat_prefixes_and_drains():
     # Each 16-triple prefix stops mid-search, so the enumerator dies as
-    # cyclic garbage; its three arrays' lists come back at the collection
+    # cyclic garbage; its search array's lists come back at the collection
     # and the next query takes them.  No query may see a trace of an
     # earlier one.
     g = gen_random(2000, 8000, max_weight=20, seed=11)

@@ -22,6 +22,7 @@ from .base import AverageDegreeEnumerator, Enumerator
 from .searches import (cheapest_out_arc, fan_row, has_out_arc, reuse_arrays,
                        search, unit_arcs)
 from ..lazyarray import LazyArray
+from ..metering import settle
 
 
 def _balanced_order(seq):
@@ -220,7 +221,9 @@ class NoSelfApsdEnumerator(AverageDegreeEnumerator):
             c.total += 1
             if c.total >= c.deadline:
                 yield
-            best_w, best_t = yield from cheapest_out_arc(g, c, s)
+            best_w, best_t = cheapest_out_arc(g, c, s)
+            if c.total >= c.deadline:
+                yield from settle(c, g.degree(s))
             if best_t is None:
                 # No way out of s: its whole row is unreachable.
                 yield from fan_row(self, s)

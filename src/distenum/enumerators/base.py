@@ -7,8 +7,9 @@ its deadline (start plus budget) on the StepCounter; the machine checks
 it at every instrumented step and suspends only once it is reached, so a
 pull costs one generator resume and still stops at the exact step the
 budget runs out.  A budget that moves mid-pull moves the deadline too.
-The searches skip the check over a stretch only when the budget left
-exceeds its worst case (see searches.py), which changes no stop.
+A stretch that emits nothing runs unchecked, in a block the budget
+left surely covers or plain with its steps settled at the deadline
+afterwards (see searches.py, metering.settle); neither moves a stop.
 An emit may also ask for a suspension: after an emit that returns
 True, the emit site suspends the machine at its next check.
 Machines bank solutions ahead of schedule in the queue, up to a cap

@@ -1,7 +1,7 @@
 """Instrumented searches and scans: the package's only graph traversals.
 
-Every loop here checks the counter's deadline once per handful of
-counted steps and suspends when it is reached, so a pull can stop it
+Every generator here checks the counter's deadline once per handful
+of counted steps and suspends when it is reached, so a pull can stop it
 mid-flight with bounded overshoot; each emit site below also suspends
 at its next check after an emit that returns True.  bfs_search and
 dijkstra_search hand visits, in hop or weight order, to an emit(s, v,
@@ -18,16 +18,19 @@ scan below serves several machines with the same steps and suspension
 points; unit_arcs is the unweighted cursors' distance-1 scan, which
 marks heads so parallel arcs give one pair.
 
-Headroom blocks.  A stretch with a known worst case and no emit runs
-unchecked, its steps charged in one add, when the budget left in the
-pull is strictly larger than that worst case: per arc 4 steps in a BFS
-scan and 2 + bit_length(len(pq) + deg) in a Dijkstra scan, 2 per
-written sweep cell.  A search moves its budget only at _see_degree,
-before a scan, so no block reaches the deadline and each pull stops
-where the checked loop would.  No block spans an emit, which may ask to
-suspend.  Blocks test lazy cells inline; the Dijkstra block also
-writes them inline, and it and plain extraction run the heap on its
-lists.
+Unchecked stretches.  A stretch with no emit is checked only at its
+end.  A Dijkstra arc scan runs as one block, its steps charged in one
+add, when the budget left in the pull is strictly larger than its worst
+case, 2 + bit_length(len(pq) + deg) per arc.  A BFS scan and a sweep run
+in chunks of as many arcs (4 steps at most each) or written cells (2
+each) as surely fit, and at least one.  A search moves its budget only
+at _see_degree, before a scan, so each pull stops where a check per step
+would.  Heap operations, each arc of a Dijkstra scan too large for its
+block, has_out_arc and cheapest_out_arc run plain; their callers settle
+the steps once they end at or past the deadline (metering.settle).  No
+stretch spans an emit, which may ask to suspend.
+Blocks and chunks test lazy cells inline; the Dijkstra block also writes
+them inline, and it and extraction run the heap on its lists.
 """
 from __future__ import annotations
 
@@ -35,7 +38,7 @@ from collections import deque
 
 from .base import INFINITE
 from ..lazyarray import LazyArray
-from ..metering import NEVER
+from ..metering import NEVER, settle
 from ..pq import AddressablePQ, sift_down, sift_up
 
 
@@ -92,9 +95,14 @@ def bfs_search(enum, s: int, dist: LazyArray, emit, *, skip_le: int = -1,
         if counter.total >= counter.deadline:
             yield
         nd = dv + 1
-        if counter.deadline - counter.total > 4 * (hi - lo):
+        # As many arcs as surely fit under the deadline, at most 4 steps
+        # each, and at least one; then the check that follows the last.
+        i = lo
+        while i < hi:
+            room = counter.deadline - counter.total
+            end = hi if room == NEVER else min(hi, i + max(1, (room - 1) // 4))
             wc = old = dist.written_count
-            for w in targets[lo:hi]:
+            for w in targets[i:end]:
                 p = index[w]
                 if not (0 <= p < wc and back[p] == w):
                     index[w] = wc
@@ -103,17 +111,10 @@ def bfs_search(enum, s: int, dist: LazyArray, emit, *, skip_le: int = -1,
                     wc += 1
                     frontier.append(w)
             dist.written_count = wc
-            counter.total += 2 * (hi - lo + wc - old)
-        else:
-            for i in range(lo, hi):
-                counter.total += 1
-                w = targets[i]
-                if dist.read(w) is None:
-                    dist.write(w, nd)
-                    counter.total += 1
-                    frontier.append(w)
-                if counter.total >= counter.deadline:
-                    yield
+            counter.total += 2 * (end - i + wc - old)
+            i = end
+            if counter.total >= counter.deadline:
+                yield
         parked = dv > skip_le and emit(s, v, dv)
         if parked or counter.total >= counter.deadline:
             yield
@@ -138,17 +139,17 @@ def dijkstra_search(enum, s: int, handles: LazyArray, emit, *,
     if counter.total >= counter.deadline:
         yield
     while heap:
-        if counter.deadline - counter.total > 2 * len(heap).bit_length() - 2:
-            h = heap[0]         # extract_min, on the heap's lists
-            pos[heap[-1]] = 0
-            heap[0] = heap[-1]
-            heap.pop()
-            pos[h] = -1
-            if heap:
-                counter.total += sift_down(heap, pos, keys, 0)
-            d, v = keys[h], payloads[h]
-        else:
-            d, v = yield from pq.extract_min_g()
+        mark = counter.total
+        h = heap[0]             # extract_min, on the heap's lists
+        pos[heap[-1]] = 0
+        heap[0] = heap[-1]
+        heap.pop()
+        pos[h] = -1
+        if heap:
+            counter.total += sift_down(heap, pos, keys, 0)
+            if counter.total >= counter.deadline:
+                yield from settle(counter, counter.total - mark)
+        d, v = keys[h], payloads[h]
         counter.total += 1      # the settle
         lo, hi = offsets[v], offsets[v + 1]
         deg = hi - lo
@@ -163,16 +164,20 @@ def dijkstra_search(enum, s: int, handles: LazyArray, emit, *,
                 counter.total += 1
                 w = targets[i]
                 h = handles.read(w)
+                mark = counter.total
                 if h is None:
-                    hw = yield from pq.insert_g(d + weights[i], w)
-                    handles.write(w, hw)
+                    handles.write(w, pq.insert(d + weights[i], w))
                 elif pos[h] >= 0:
                     nd = d + weights[i]
                     counter.total += 1
+                    mark += 1
                     if nd < keys[h]:
-                        yield from pq.decrease_key_g(h, nd)
+                        pq.decrease_key(h, nd)
                 if counter.total >= counter.deadline:
-                    yield
+                    # A check follows each step after mark (each sift
+                    # comparison, the handle write) and, when there is
+                    # none, the step at mark itself.
+                    yield from settle(counter, max(1, counter.total - mark))
         parked = (v != s or not skip_self) and v != skip_target \
             and emit(s, v, d)
         if parked or counter.total >= counter.deadline:
@@ -289,15 +294,13 @@ def has_out_arc(g, counter, v: int) -> bool:
 
 
 def cheapest_out_arc(g, counter, v: int):
-    """Scan v's arcs, checking the deadline after each; return (weight,
-    head) of the cheapest non-loop arc (first wins ties), or (None, None)."""
+    """Return (weight, head) of v's cheapest non-loop arc (first wins
+    ties), or (None, None); one counted step per arc of v."""
     offsets, targets, weights = g.offsets, g.targets, g.weights
     best_w = best_t = None
     for i in range(offsets[v], offsets[v + 1]):
-        counter.total += 1
         t = targets[i]
         if t != v and (best_w is None or weights[i] < best_w):
             best_w, best_t = weights[i], t
-        if counter.total >= counter.deadline:
-            yield
+    counter.total += offsets[v + 1] - offsets[v]
     return best_w, best_t

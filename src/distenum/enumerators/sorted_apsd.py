@@ -39,7 +39,8 @@ from collections import deque
 from .base import PER_POOL_DEGREE, Enumerator, INFINITE
 from .searches import (cheapest_out_arc, fan_row, has_out_arc, search,
                        search_arrays, sweep_unreached, unit_arcs)
-from ..pq import AddressablePQ, drain
+from ..metering import settle
+from ..pq import AddressablePQ
 
 
 class _Instance:
@@ -99,14 +100,15 @@ class _SortedBase(Enumerator):
         """
         c = self.counter
         heap = self.graph.weighted
-        live = pool._heap if heap else pool     # no AddressablePQ.__len__
+        live = pool._heap if heap else pool
         while live:
-            if not heap:
-                inst = pool[0]
-            elif c.deadline - c.total > 2 * len(live).bit_length() - 2:
+            if heap:
+                mark = c.total
                 _key, inst = pool.extract_min()
+                if c.total >= c.deadline:
+                    yield from settle(c, c.total - mark)
             else:
-                _key, inst = yield from pool.extract_min_g()
+                inst = pool[0]
             gen = inst.gen
             last = None
             while True:
@@ -127,10 +129,10 @@ class _SortedBase(Enumerator):
             if heap:
                 if nxt is None:
                     continue    # search over: drop the instance
-                if c.deadline - c.total > len(live).bit_length():
-                    pool.insert(nxt[2], inst)
-                else:
-                    yield from pool.insert_g(nxt[2], inst)
+                mark = c.total
+                pool.insert(nxt[2], inst)
+                if c.total >= c.deadline:
+                    yield from settle(c, c.total - mark)
             elif nxt is None or nxt[2] != last[2]:
                 # Search over: pop it; past the level: rotate to the back.
                 c.total += 1
@@ -171,11 +173,11 @@ class _SortedBase(Enumerator):
             if comp[v] < 0:
                 members = (v,) if dist is None else dist.written()
                 for t in members:
-                    c.total += 1
                     comp[t] = len(comps)
-                    if c.total >= c.deadline:
-                        yield
                 comps.append(members)
+                c.total += len(members)
+                if c.total >= c.deadline:
+                    yield from settle(c, len(members))
             if c.total >= c.deadline:
                 yield
         if len(comps) <= 1:
@@ -232,7 +234,11 @@ class SortedApsdEnumerator(_SortedBase):
                 # No non-loop arc: the whole row past the self pair is
                 # unreachable, so a search instance would burn setup and
                 # teardown without producing; fan the row out instead.
-                if has_out_arc(g, c, v):
+                mark = c.total
+                out_arc = has_out_arc(g, c, v)
+                if c.total >= c.deadline:
+                    yield from settle(c, c.total - mark)
+                if out_arc:
                     pool.append(self._new_instance(v, 0))
                 else:
                     self._fans.append(v)
@@ -247,7 +253,9 @@ class SortedApsdEnumerator(_SortedBase):
         sched = AddressablePQ(c)
         for v in range(g.n):
             c.total += 1
-            best, _ = yield from cheapest_out_arc(g, c, v)
+            best, _ = cheapest_out_arc(g, c, v)
+            if c.total >= c.deadline:
+                yield from settle(c, g.degree(v))
             if best is None:
                 self._fans.append(v)
                 if c.total >= c.deadline:
@@ -256,7 +264,10 @@ class SortedApsdEnumerator(_SortedBase):
             inst = self._new_instance(v, 0)
             if c.total >= c.deadline:
                 yield
-            yield from sched.insert_g(best, inst)
+            mark = c.total
+            sched.insert(best, inst)
+            if c.total >= c.deadline:
+                yield from settle(c, c.total - mark)
         yield from self._drive(sched)
 
 
@@ -282,7 +293,7 @@ class SortedNoSelfApsdEnumerator(_SortedBase):
                 (self._sources if has_out_arc(g, c, v)
                  else self._fans).append(v)
                 continue
-            best, _ = drain(cheapest_out_arc(g, c, v))
+            best, _ = cheapest_out_arc(g, c, v)
             if best is None:
                 self._fans.append(v)
                 continue

@@ -9,9 +9,16 @@ reports can state peak concurrently-live cells.
 It also carries the deadline of the pull in progress: the step total
 at which the machine must suspend.  A pull sets it to its start plus
 its budget and puts it back to NEVER when it ends, so work driven
-outside a pull (preprocessing, a plain heap operation) runs straight
-through its suspension points.  Only the tests' per-step reference
+outside a pull (preprocessing) runs straight through its suspension
+points.  Only the tests' per-step reference
 counter holds a deadline that is always passed.
+
+A stretch that emits nothing runs as plain code, with no check of its
+own.  If it ends at or past the deadline, the caller hands its last
+steps, each of which a check would have followed, to settle, which
+suspends at exactly the totals those checks would have.  Nothing reads
+the stretch's private state (its heap, its array, the graph) while the
+machine is suspended, so only the totals can tell the two apart.
 
 A Meter records the counted steps of every pull it makes; run_metered
 drives one to the end of the stream.  Metering itself never touches the
@@ -46,6 +53,21 @@ class StepCounter:
 
     def record_release(self, cells: int) -> None:
         self.lazy_live_cells -= cells
+
+
+def settle(counter: StepCounter, steps: int):
+    """Suspend at the totals where a check after each of the last steps
+    counted steps would have suspended.  Call it only once counter.total
+    >= counter.deadline.  It takes the steps back and charges them again
+    one deadline at a time; a deadline already passed when they began
+    stops one step in.  It counts the steps left, not totals, since a
+    counter shared with other machines moves while this one waits."""
+    counter.total -= steps
+    while (step := max(1, counter.deadline - counter.total)) <= steps:
+        counter.total += step
+        steps -= step
+        yield
+    counter.total += steps
 
 
 @dataclass

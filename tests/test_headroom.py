@@ -1,14 +1,17 @@
-"""Headroom blocks: stretches run unchecked stop exactly where checks would.
+"""Unchecked stretches stop exactly where per-step checks would.
 
-A search runs an arc scan or a run of written sweep cells without
-deadline checks, and a heap operation in its plain form, only when the
-budget left in the pull is strictly larger than the stretch's worst
-case.  So at every deadline a search or heap operation must first
+A Dijkstra search runs an arc scan without deadline checks only when
+the budget left in the pull is strictly larger than the scan's worst
+case; a BFS scan and a sweep run in chunks of as many arcs or cells as
+surely fit.  Every other stretch that emits nothing, heap operations
+among them, runs plain and settles its steps (metering.settle) once it
+ends at or past the deadline.  So at every deadline a machine must first
 suspend at the same counted total as on EveryStepCounter, whose deadline
-is always passed, which never takes a block and which suspends at every
-check.  The graphs are small enough to try every budget, and each has a
-stretch whose worst case is met exactly, so a guard that let a block run
-with just its worst case left would stop a step late.
+is always passed: there no block runs, a chunk holds one arc or cell,
+and settle suspends after every step.  The graphs are small enough to
+try every budget, and each has a stretch whose worst case is met
+exactly, so a guard that let a block run with just its worst case left
+would stop a step late.
 """
 import hashlib
 import random
@@ -21,6 +24,7 @@ from hypothesis import strategies as st
 from distenum import (AddressablePQ, LazyArray, OutputMode, StepCounter,
                       from_edge_list, gen_random, make_enumerator)
 from distenum.enumerators import searches
+from distenum.metering import settle
 
 from conftest import all_mode_combos, graphs, small_corpus
 from test_suspension import EveryStepCounter, metered
@@ -195,9 +199,9 @@ def test_large_heap_single_source_pins():
                                   OutputMode(sorted=True, no_self=True)],
                          ids=["sorted", "sorted-no-self"])
 def test_pool_heap_stops_where_checks_stop(g, mode):
-    # The weighted pool driver picks plain or generator heap operations
-    # by the budget left.  The queue cap is lifted, so the machine
-    # suspends at the deadline alone.
+    # The weighted pool driver runs plain heap operations and settles
+    # their comparisons at the deadline.  The queue cap is lifted, so
+    # the machine suspends at the deadline alone.
     def build(counter):
         enum = make_enumerator(g, mode, counter=counter)
         enum.prepare()
@@ -223,44 +227,21 @@ def _heap_ops(seed, count):
 
 
 def _decrease_target(pq, handles, arg):
-    live = [h for h in handles if h in pq]
+    live = [h for h in handles if pq._pos[h] >= 0]
     if not live:
         return None, None
     h = live[arg % len(live)]
-    return h, pq.key_of(h) // 2
+    return h, pq._keys[h] // 2
 
 
-def heap_machine(pq, ops, out, *, headroom):
-    """Generator heap operations in sequence; handles and results are
-    appended to out.  With headroom, an insert or extraction runs plain whenever the room
-    left exceeds its worst case, by the rule the searches and the pool
-    driver use."""
+def heap_machine(pq, ops, out):
+    """Plain heap operations in sequence, each one's comparisons settled
+    at the deadline as the searches and the pool driver do; handles and
+    results are appended to out."""
     c = pq.counter
     handles = []
     for op, arg in ops:
-        room = c.deadline - c.total if headroom else -1
-        if op == "insert":
-            if room > len(pq).bit_length():
-                h = pq.insert(arg, len(handles))
-            else:
-                h = yield from pq.insert_g(arg, len(handles))
-            handles.append(h)
-            out.append(h)
-        elif op == "extract":
-            if room > 2 * len(pq).bit_length() - 2:
-                out.append(pq.extract_min())
-            else:
-                out.append((yield from pq.extract_min_g()))
-        else:
-            h, key = _decrease_target(pq, handles, arg)
-            if h is not None:
-                yield from pq.decrease_key_g(h, key)
-                out.append((h, key))
-
-
-def plain_heap(pq, ops, out):
-    handles = []
-    for op, arg in ops:
+        mark = c.total
         if op == "insert":
             handles.append(pq.insert(arg, len(handles)))
             out.append(handles[-1])
@@ -271,6 +252,8 @@ def plain_heap(pq, ops, out):
             if h is not None:
                 pq.decrease_key(h, key)
                 out.append((h, key))
+        if c.total >= c.deadline:
+            yield from settle(c, c.total - mark)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -278,7 +261,7 @@ def test_heap_operations_stop_where_checks_stop(seed):
     ops = _heap_ops(seed, 60)
 
     def build(counter):
-        return heap_machine(AddressablePQ(counter), ops, [], headroom=True)
+        return heap_machine(AddressablePQ(counter), ops, [])
     assert_blocks_invisible(build)
 
 
@@ -291,14 +274,16 @@ heap_op_lists = st.lists(st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(heap_op_lists)
 def test_plain_heap_matches_generator_heap(ops):
-    plain, drained = StepCounter(), StepCounter()
+    # No pull, no deadline: nothing settles.  On a counter whose
+    # deadline is always passed, every comparison suspends; the
+    # operations must end the same either way.
+    plain, settled = StepCounter(), EveryStepCounter()
     got, want = [], []
-    plain_heap(AddressablePQ(plain), ops, got)
-    for _ in heap_machine(AddressablePQ(drained), ops, want,
-                          headroom=False):
-        pass
+    for counter, out in ((plain, got), (settled, want)):
+        for _ in heap_machine(AddressablePQ(counter), ops, out):
+            pass
     assert got == want
-    assert plain.total == drained.total
+    assert plain.total == settled.total
 
 
 def test_inline_cell_tests_ignore_garbage(monkeypatch):

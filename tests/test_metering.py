@@ -6,6 +6,7 @@ import pytest
 from distenum import (OutputMode, StepCounter, fit_bound, from_edge_list,
                       gen_clique_path, make_enumerator, run_metered)
 from distenum.enumerators.base import Enumerator
+from distenum.metering import settle
 
 
 class NoOpEnumerator(Enumerator):
@@ -77,6 +78,45 @@ def test_counter_monotone():
         last = c.total
         if t is None:
             break
+
+
+def _checked(counter, steps):
+    for _ in range(steps):
+        counter.total += 1
+        if counter.total >= counter.deadline:
+            yield
+
+
+def _settled(counter, steps):
+    counter.total += steps
+    if counter.total >= counter.deadline:
+        yield from settle(counter, steps)
+
+
+def _suspensions(stretch, steps, room, budget, foreign):
+    """Totals at each suspension of stretch(counter, steps), begun with
+    room steps left before the deadline, and at its end.  At each
+    suspension another machine on the counter charges foreign steps, and
+    the next pull's deadline lies budget steps on."""
+    c = StepCounter()
+    c.total = 100
+    c.deadline = c.total + room
+    out = []
+    for _ in stretch(c, steps):
+        out.append(c.total)
+        c.total += foreign
+        c.deadline = c.total + budget
+    return out, c.total
+
+
+def test_settle_stops_where_per_step_checks_stop():
+    for steps in range(7):
+        for room in range(-1, 8):
+            for budget in (1, 2, 3):
+                for foreign in (0, 2):
+                    args = steps, room, budget, foreign
+                    assert _suspensions(_settled, *args) \
+                        == _suspensions(_checked, *args), args
 
 
 def test_fit_bound():

@@ -64,7 +64,7 @@ def test_decrease_to_equal_is_noop():
     pq = AddressablePQ()
     h = pq.insert(6, "z")
     pq.decrease_key(h, 6)
-    assert pq.key_of(h) == 6
+    assert pq._keys[h] == 6
     assert pq.extract_min() == (6, "z")
 
 
@@ -74,7 +74,7 @@ def test_decrease_errors():
     with pytest.raises(ValueError):
         pq.decrease_key(h, 4)
     pq.extract_min()
-    assert h not in pq
+    assert pq._pos[h] < 0
     with pytest.raises(ValueError):
         pq.decrease_key(h, 1)
 
@@ -129,8 +129,8 @@ def test_mixed_ops_match_scan_oracle():
         elif r < 0.7:
             i = rng.randrange(len(live))
             h1, h2, k = live[i]
-            if h1 in pq:
-                nk = rng.randrange(pq.key_of(h1) + 1)
+            if pq._pos[h1] >= 0:
+                nk = rng.randrange(pq._keys[h1] + 1)
                 pq.decrease_key(h1, nk)
                 oracle.decrease_key(h2, nk)
                 live[i] = (h1, h2, nk)
@@ -145,13 +145,13 @@ def test_mixed_ops_match_scan_oracle():
 
 def test_size_tracks_inserts_minus_extractions():
     pq = AddressablePQ()
-    assert len(pq) == 0
+    assert len(pq._heap) == 0
     for i in range(10):
         pq.insert(i)
-    assert len(pq) == 10
+    assert len(pq._heap) == 10
     for _ in range(4):
         pq.extract_min()
-    assert len(pq) == 6
+    assert len(pq._heap) == 6
 
 
 def test_extraction_comparisons_logarithmic():
@@ -161,8 +161,8 @@ def test_extraction_comparisons_logarithmic():
     for _ in range(1024):
         pq.insert(rng.randrange(10 ** 6))
     worst = 0
-    while len(pq):
-        size = len(pq)
+    while pq._heap:
+        size = len(pq._heap)
         before = c.total
         pq.extract_min()
         worst = max(worst, c.total - before)

@@ -100,7 +100,7 @@ def bfs_search(enum, s: int, dist: LazyArray, emit, *, skip_le: int = -1,
         i = lo
         while i < hi:
             room = counter.deadline - counter.total
-            end = hi if room == NEVER else min(hi, i + max(1, (room - 1) // 4))
+            end = hi if room > 4 * (hi - i) else i + max(1, (room - 1) // 4)
             wc = old = dist.written_count
             for w in targets[i:end]:
                 p = index[w]

@@ -19,18 +19,17 @@ points; unit_arcs is the unweighted cursors' distance-1 scan, which
 marks heads so parallel arcs give one pair.
 
 Unchecked stretches.  A stretch with no emit is checked only at its
-end.  A Dijkstra arc scan runs as one block, its steps charged in one
-add, when the budget left in the pull is strictly larger than its worst
-case, 2 + bit_length(len(pq) + deg) per arc.  A BFS scan and a sweep run
-in chunks of as many arcs (4 steps at most each) or written cells (2
-each) as surely fit, and at least one.  A search moves its budget only
-at _see_degree, before a scan, so each pull stops where a check per step
-would.  Heap operations, each arc of a Dijkstra scan too large for its
-block, has_out_arc and cheapest_out_arc run plain; their callers settle
-the steps once they end at or past the deadline (metering.settle).  No
-stretch spans an emit, which may ask to suspend.
-Blocks and chunks test lazy cells inline; the Dijkstra block also writes
-them inline, and it and extraction run the heap on its lists.
+end.  Arc scans, BFS and Dijkstra alike, and sweeps run in chunks of as
+many arcs or written cells as surely fit under the deadline, and at
+least one: a BFS arc costs at most 4 steps, a Dijkstra arc at most
+2 + bit_length(len(pq) + arcs left), a cell 2.  A search moves its
+budget only at _see_degree, before a scan, so each pull stops where a
+check per step would.  Heap operations, a one-arc Dijkstra chunk,
+has_out_arc and cheapest_out_arc run plain; their callers settle the
+steps once they end at or past the deadline (metering.settle).  No
+stretch spans an emit, which may ask to suspend.  Chunks test lazy
+cells inline; a Dijkstra chunk also writes them inline and runs the
+heap on its lists.
 """
 from __future__ import annotations
 
@@ -39,7 +38,7 @@ from collections import deque
 from .base import INFINITE
 from ..lazyarray import LazyArray
 from ..metering import NEVER, settle
-from ..pq import AddressablePQ, sift_down, sift_up
+from ..pq import AddressablePQ, sift_up
 
 
 def search_arrays(enum) -> list[LazyArray]:
@@ -130,54 +129,43 @@ def dijkstra_search(enum, s: int, handles: LazyArray, emit, *,
     handles maps each reached vertex to its heap handle, whose key is
     the vertex's distance, final once extracted (pos[h] < 0)."""
     counter = enum.counter
-    offsets, targets, weights = (enum.graph.offsets, enum.graph.targets,
-                                 enum.graph.weights)
+    offsets = enum.graph.offsets
     pq = AddressablePQ(counter)
-    heap, pos, keys, payloads = pq._heap, pq._pos, pq._keys, pq._payloads
-    scan = _arc_block(targets, weights, handles, pq)
+    heap = pq._heap
+    scan = _arc_block(enum.graph.targets, enum.graph.weights, handles, pq)
     handles.write(s, pq.insert(0, s))   # into an empty heap: no comparison
     if counter.total >= counter.deadline:
         yield
     while heap:
         mark = counter.total
-        h = heap[0]             # extract_min, on the heap's lists
-        pos[heap[-1]] = 0
-        heap[0] = heap[-1]
-        heap.pop()
-        pos[h] = -1
-        if heap:
-            counter.total += sift_down(heap, pos, keys, 0)
-            if counter.total >= counter.deadline:
-                yield from settle(counter, counter.total - mark)
-        d, v = keys[h], payloads[h]
+        d, v = pq.extract_min()
+        if counter.total >= counter.deadline:
+            yield from settle(counter, counter.total - mark)
         counter.total += 1      # the settle
         lo, hi = offsets[v], offsets[v + 1]
-        deg = hi - lo
-        enum._see_degree(deg)
+        enum._see_degree(hi - lo)
         if counter.total >= counter.deadline:
             yield
-        if counter.deadline - counter.total \
-                > deg * (2 + (len(heap) + deg).bit_length()):
-            counter.total += scan(d, lo, hi)
-        else:
-            for i in range(lo, hi):
-                counter.total += 1
-                w = targets[i]
-                h = handles.read(w)
-                mark = counter.total
-                if h is None:
-                    handles.write(w, pq.insert(d + weights[i], w))
-                elif pos[h] >= 0:
-                    nd = d + weights[i]
-                    counter.total += 1
-                    mark += 1
-                    if nd < keys[h]:
-                        pq.decrease_key(h, nd)
-                if counter.total >= counter.deadline:
-                    # A check follows each step after mark (each sift
-                    # comparison, the handle write) and, when there is
-                    # none, the step at mark itself.
-                    yield from settle(counter, max(1, counter.total - mark))
+        # As many arcs as surely fit under the deadline, each at most 3
+        # steps plus a sift in a heap of at most len(heap) + hi - i
+        # entries, and at least one; then the check that follows the last.
+        i = lo
+        while i < hi:
+            room = counter.deadline - counter.total
+            worst = 2 + (len(heap) + hi - i).bit_length()
+            end = hi if room > worst * (hi - i) else \
+                i + max(1, (room - 1) // worst)
+            old = handles.written_count
+            steps = scan(d, i, end)
+            counter.total += steps
+            i = end
+            if counter.total >= counter.deadline:
+                # Only a one-arc chunk gets here.  A check follows each
+                # of its steps after the first 2 (arc, handle read) for
+                # a new head, after the first 3 (and the key comparison)
+                # otherwise, and at least its last step.
+                yield from settle(counter, max(
+                    1, steps - (2 if handles.written_count > old else 3)))
         parked = (v != s or not skip_self) and v != skip_target \
             and emit(s, v, d)
         if parked or counter.total >= counter.deadline:
@@ -187,12 +175,13 @@ def dijkstra_search(enum, s: int, handles: LazyArray, emit, *,
 
 
 def _arc_block(targets, weights, handles, pq):
-    """Return scan(d, lo, hi): dijkstra_search's arc scan as a headroom
-    block on the handle map's and the heap's lists.  It returns its
-    counted steps: per arc 2, per new or live head 1 more plus its sift.
-    The closure keeps these lists out of the search's generator, which a
-    sorted pool holds one of per source: on CPython 3.11 a generator past
-    pymalloc's 512 bytes raised a 300-vertex drain's peak RSS by 6-12%."""
+    """Return scan(d, lo, hi): one chunk of dijkstra_search's arc scan,
+    arcs lo to hi, on the handle map's and the heap's lists.  It returns
+    its counted steps: per arc 2, per new or live head 1 more plus its
+    sift.  The closure keeps these lists out of the search's generator,
+    which a sorted pool holds one of per source: on CPython 3.11 a
+    generator past pymalloc's 512 bytes raised a 300-vertex drain's peak
+    RSS by 6-12%."""
     h_index, h_back, h_value = handles._index, handles._back, handles._value
     heap, pos, keys, payloads = pq._heap, pq._pos, pq._keys, pq._payloads
 

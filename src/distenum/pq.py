@@ -1,18 +1,19 @@
-"""Addressable binary min-heap with decrease-key.
+"""Addressable binary min-heap.
 
 Every insert returns a handle that stays valid until the entry is
 extracted.  Handles count inserts from 0, so a handle is its entry's
 insertion order; key ties break on the handle (first inserted wins), and
 extraction order is deterministic.  Each key comparison charges one
 counted step.  Extraction performs at most 2 * ceil(log2(size))
-comparisons, insert and decrease_key at most ceil(log2(size)).
+comparisons, insert at most ceil(log2(size)).
 
 sift_up and sift_down are the only sifts: loops with no deadline check
-that return their comparison count.  The operations here charge it;
-the Dijkstra headroom blocks in enumerators/searches.py run the heap on
-its lists and call them directly.  A caller inside a pull that ends an
-operation at or past its deadline settles the comparisons
-(metering.settle), so the pull stops where a check after each would.
+that return their comparison count.  The operations here charge it.
+dijkstra_search in enumerators/searches.py calls extract_min, and its
+arc scan inserts and lowers keys on the heap's lists, running sift_up
+inline.  A caller inside a pull that ends an operation at or past its
+deadline settles the comparisons (metering.settle), so the pull stops
+where a check after each would.
 """
 from __future__ import annotations
 
@@ -82,16 +83,6 @@ class AddressablePQ:
         self.counter.total += sift_up(self._heap, self._pos, self._keys,
                                       self._pos[h])
         return h
-
-    def decrease_key(self, handle: int, key) -> None:
-        keys, pos = self._keys, self._pos
-        if not 0 <= handle < len(keys) or pos[handle] < 0:
-            raise ValueError(f"handle {handle} is not live")
-        if key > keys[handle]:
-            raise ValueError(
-                f"decrease_key to larger key {key!r} (current {keys[handle]!r})")
-        keys[handle] = key
-        self.counter.total += sift_up(self._heap, pos, keys, pos[handle])
 
     def extract_min(self):
         """Remove and return the minimal (key, payload), or None if empty."""

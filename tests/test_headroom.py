@@ -1,17 +1,18 @@
 """Unchecked stretches stop exactly where per-step checks would.
 
-A Dijkstra search runs an arc scan without deadline checks only when
-the budget left in the pull is strictly larger than the scan's worst
-case; a BFS scan and a sweep run in chunks of as many arcs or cells as
-surely fit.  Every other stretch that emits nothing, heap operations
-among them, runs plain and settles its steps (metering.settle) once it
-ends at or past the deadline.  So at every deadline a machine must first
-suspend at the same counted total as on EveryStepCounter, whose deadline
-is always passed: there no block runs, a chunk holds one arc or cell,
-and settle suspends after every step.  The graphs are small enough to
-try every budget, and each has a stretch whose worst case is met
-exactly, so a guard that let a block run with just its worst case left
-would stop a step late.
+Arc scans, Dijkstra and BFS alike, and sweeps run in chunks of as many
+arcs or cells as surely fit under the deadline, and at least one.
+Every other stretch that emits nothing, heap operations among them,
+runs plain and settles its steps (metering.settle) once it ends at or
+past the deadline; so does a one-arc Dijkstra chunk.  So at every
+deadline a machine must first suspend at the same counted total as on
+EveryStepCounter, whose deadline is always passed: there a chunk holds
+one arc or cell, and settle suspends after every step.  The graphs are
+small enough to try every budget, and each has a stretch whose worst
+case is met exactly, so a guard that let a chunk run with just its
+worst case left would stop a step late.  Both sides of that comparison
+settle the same steps, so what a one-arc Dijkstra chunk settles is
+pinned by hand.
 """
 import hashlib
 import random
@@ -149,6 +150,39 @@ def test_dijkstra_blocks_stop_where_checks_stop_on_random_graphs(g):
         assert_blocks_invisible(_search("dijkstra", g, s))
 
 
+def test_dijkstra_every_step_stops_by_hand():
+    # Source 0 on EveryStepCounter: each check suspends, and settle
+    # suspends after each step it is handed.  An arc costs 2 steps (the
+    # arc, the handle read), a new or live head 1 more (the handle
+    # write or the key comparison) plus its sift; after the read a check
+    # follows each write and sift comparison, or the arc's last step
+    # when there is none.  Totals from the machine's first step:
+    #   1       insert 0 into the empty heap, write its handle
+    #   2       extract 0 (no sift), the settle step
+    #   5       0->1 w4, new head, empty heap: arc, read, write
+    #   8 9     0->2 w1, new head, sifts above vertex 1: write, comparison
+    #   12 13   0->3 w6, new head, compared with 2's key 1: write, comparison
+    #   14      emit (0, 0, 0)
+    #   15      extract 2: one sift_down comparison (1 at 4, 3 at 6)
+    #   16      the settle step
+    #   20      2->3 w2, live head improves 6 to 3, sifts above vertex 1:
+    #           the comparison at 20 (the key comparison at 19 has no check)
+    #   23      2->1 w5, live head, 6 is not below 4: its last step
+    #   25      2->0 w1, extracted head: its last step
+    #   26      emit (0, 2, 1)
+    #   27 28   extract 3 (one entry left: no comparison), settle; emit
+    #   29 30   extract 1 from a heap of one, settle; emit
+    g = from_edge_list(4, [(0, 1, 4), (0, 2, 1), (0, 3, 6), (2, 3, 2),
+                           (2, 1, 5), (2, 0, 1)], True, weighted=True)
+    counter = EveryStepCounter()
+    probe = Probe(g, counter)
+    machine = searches.dijkstra_search(
+        probe, 0, *searches.search_arrays(probe), probe._emit, sweep=False)
+    start = counter.total
+    assert [counter.total - start for _ in machine] == [
+        1, 2, 5, 8, 9, 12, 13, 14, 15, 16, 20, 23, 25, 26, 27, 28, 29, 30]
+
+
 @pytest.mark.skipif(sys.implementation.name != "cpython",
                     reason="pymalloc's small-object limit")
 def test_dijkstra_generator_is_a_small_object():
@@ -218,20 +252,10 @@ def _heap_ops(seed, count):
         if r < 0.5 or not live:
             ops.append(("insert", rng.randrange(20)))
             live += 1
-        elif r < 0.7:
-            ops.append(("decrease", rng.randrange(10 ** 6)))
         else:
             ops.append(("extract", None))
             live -= 1
     return ops
-
-
-def _decrease_target(pq, handles, arg):
-    live = [h for h in handles if pq._pos[h] >= 0]
-    if not live:
-        return None, None
-    h = live[arg % len(live)]
-    return h, pq._keys[h] // 2
 
 
 def heap_machine(pq, ops, out):
@@ -245,13 +269,8 @@ def heap_machine(pq, ops, out):
         if op == "insert":
             handles.append(pq.insert(arg, len(handles)))
             out.append(handles[-1])
-        elif op == "extract":
-            out.append(pq.extract_min())
         else:
-            h, key = _decrease_target(pq, handles, arg)
-            if h is not None:
-                pq.decrease_key(h, key)
-                out.append((h, key))
+            out.append(pq.extract_min())
         if c.total >= c.deadline:
             yield from settle(c, c.total - mark)
 
@@ -267,13 +286,12 @@ def test_heap_operations_stop_where_checks_stop(seed):
 
 heap_op_lists = st.lists(st.one_of(
     st.tuples(st.just("insert"), st.integers(0, 30)),
-    st.tuples(st.just("decrease"), st.integers(0, 100)),
     st.tuples(st.just("extract"), st.none())), max_size=120)
 
 
 @settings(max_examples=150, deadline=None)
 @given(heap_op_lists)
-def test_plain_heap_matches_generator_heap(ops):
+def test_settled_heap_ends_like_plain_heap(ops):
     # No pull, no deadline: nothing settles.  On a counter whose
     # deadline is always passed, every comparison suspends; the
     # operations must end the same either way.

@@ -249,7 +249,7 @@ def _heap_ops(seed, count):
     ops, live = [], 0
     for _ in range(count):
         r = rng.random()
-        if r < 0.5 or not live:
+        if r < 0.625 or not live:     # 5 inserts to 3 extractions
             ops.append(("insert", rng.randrange(20)))
             live += 1
         else:
@@ -263,12 +263,10 @@ def heap_machine(pq, ops, out):
     at the deadline as the searches and the pool driver do; handles and
     results are appended to out."""
     c = pq.counter
-    handles = []
     for op, arg in ops:
         mark = c.total
         if op == "insert":
-            handles.append(pq.insert(arg, len(handles)))
-            out.append(handles[-1])
+            out.append(pq.insert(arg, len(out)))
         else:
             out.append(pq.extract_min())
         if c.total >= c.deadline:

@@ -9,8 +9,10 @@ keeps all finite distances well inside exact integer range.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import isqrt
 from typing import Iterable, Sequence
 
@@ -106,7 +108,6 @@ def from_edge_list(n: int, edges: Sequence[tuple], directed: bool, *,
     if weighted is None:
         weighted = bool(edges) and len(edges[0]) == 3
     cap = n ** weight_cap_exponent
-    norm: list[tuple[int, int, int]] = []
     for e in edges:
         if weighted:
             if len(e) != 3:
@@ -123,24 +124,29 @@ def from_edge_list(n: int, edges: Sequence[tuple], directed: bool, *,
             if len(e) != 2:
                 raise GraphFormatError(f"unweighted graph needs (u, v) edges, got {e!r}")
             u, v = e
-            w = 1
         if not (0 <= u < n) or not (0 <= v < n):
             raise GraphFormatError(f"edge ({u}, {v}) out of range for n={n}")
-        norm.append((u, v, w))
+    weights = [e[2] for e in edges] if weighted else None
+    return _csr(n, [e[0] for e in edges], [e[1] for e in edges], weights,
+                directed)
 
+
+def _csr(n: int, tails: list[int], heads: list[int],
+         weights: list[int] | None, directed: bool) -> Graph:
+    """CSR of checked edges (tails[k], heads[k], weights[k]) in one
+    counting pass; each vertex's arcs keep edge order, and an undirected
+    edge's reverse arc follows its forward one."""
     counts = [0] * (n + 1)
-    for u, v, _ in norm:
+    for u in tails:
         counts[u + 1] += 1
-        if not directed:
+    if not directed:
+        for v in heads:
             counts[v + 1] += 1
-    offsets = counts
-    for i in range(n):
-        offsets[i + 1] += offsets[i]
-    total = offsets[n]
-    targets = [0] * total
-    wlist: list[int] | None = [0] * total if weighted else None
-    fill = offsets[:-1].copy() if n else []
-    for u, v, w in norm:
+    offsets = list(accumulate(counts))
+    fill = offsets[:-1]
+    targets = [0] * offsets[-1]
+    wlist = None if weights is None else [0] * offsets[-1]
+    for u, v, w in zip(tails, heads, repeat(1) if weights is None else weights):
         i = fill[u]
         fill[u] = i + 1
         targets[i] = v
@@ -152,7 +158,8 @@ def from_edge_list(n: int, edges: Sequence[tuple], directed: bool, *,
             targets[j] = u
             if wlist is not None:
                 wlist[j] = w
-    return Graph(n, len(norm), directed, weighted, offsets, targets, wlist)
+    return Graph(n, len(tails), directed, weights is not None, offsets,
+                 targets, wlist)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +186,61 @@ def format_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The tokenised path takes canonical text only: no comments or blank
+# lines, every edge line ends in "\n", tokens are ASCII digits, and only
+# spaces and tabs separate them.  The line parser accepts and rejects
+# exactly the same graphs on such text, so anything else is left to it.
+_HEADER = re.compile(r"[ \t]*([0-9]+)[ \t]+([0-9]+)[ \t]+(directed|undirected)"
+                     r"[ \t]+(weighted|unweighted)[ \t]*")
+_EDGE_ROWS = {want: re.compile(r"(?:[ \t]*+[0-9]++" + r"[ \t]++[0-9]++" * (want - 1)
+                               + r"[ \t]*+\n)*+") for want in (2, 3)}
+# Body characters tokenised at a time: one block's token strings are
+# alive at once, not the whole body's.
+_BLOCK = 1 << 16
+
+
 def parse_graph(text: str, *, weight_cap_exponent: int = DEFAULT_WEIGHT_CAP_EXPONENT) -> Graph:
+    g = _parse_tokens(text, weight_cap_exponent)
+    return g if g is not None else _parse_lines(text, weight_cap_exponent)
+
+
+def _parse_tokens(text: str, weight_cap_exponent: int) -> Graph | None:
+    """The graph of canonical text, or None when the text is not canonical
+    or not a valid graph; ints too long for int() give None too."""
+    head, _, body = text.partition("\n")
+    match = _HEADER.fullmatch(head)
+    if match is None:
+        return None
+    try:
+        n, m = int(match[1]), int(match[2])
+        if n > MAX_VERTICES:
+            return None
+        want = 3 if match[4] == "weighted" else 2
+        rows = _EDGE_ROWS[want]
+        a: list[int] = []
+        pos, size = 0, len(body)
+        while pos < size:
+            end = body.find("\n", min(pos + _BLOCK, size) - 1) + 1 or size
+            if rows.fullmatch(body, pos, end) is None:
+                return None
+            a.extend(map(int, body[pos:end].split()))
+            pos = end
+    except ValueError:
+        return None
+    if len(a) != want * m:
+        return None
+    cap = n ** weight_cap_exponent
+    tails, heads = a[0::want], a[1::want]
+    weights = a[2::want] if want == 3 else None
+    if m and (max(tails) >= n or max(heads) >= n
+              or (weights is not None and max(weights) > cap)):
+        return None
+    return _csr(n, tails, heads, weights, match[3] == "directed")
+
+
+def _parse_lines(text: str, weight_cap_exponent: int) -> Graph:
+    """Line-by-line parse of any text, with comments; raises
+    GraphFormatError naming the first bad line."""
     rows: list[list[str]] = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,10 @@ from hypothesis import strategies as st
 from distenum import (GraphFormatError, format_graph, from_edge_list,
                       gen_bmm_graph, gen_clique_path, gen_isolated_plus_edge,
                       gen_random, gen_star, parse_graph)
-from distenum.graph import MAX_VERTICES
+from distenum import graph as graph_module
+from distenum.graph import (DEFAULT_WEIGHT_CAP_EXPONENT, MAX_VERTICES,
+                            _parse_lines, _parse_tokens)
+from conftest import graphs
 
 
 def check_csr(g):
@@ -145,16 +149,129 @@ def test_format_graph_pinned_text(directed, weighted, text):
 def test_parse_comments_and_errors():
     g = parse_graph("# a path\n3 2 undirected unweighted\n0 1\n1 2\n")
     assert g.n == 3 and g.m == 2
-    with pytest.raises(GraphFormatError):
+    with pytest.raises(GraphFormatError, match="^empty graph text$"):
         parse_graph("")
-    with pytest.raises(GraphFormatError):
+    with pytest.raises(GraphFormatError,
+                       match="^bad header flags '3 2 sideways unweighted'$"):
         parse_graph("3 2 sideways unweighted\n0 1\n1 2\n")
-    with pytest.raises(GraphFormatError):
+    with pytest.raises(GraphFormatError,
+                       match="^header says 2 edges, found 1$"):
         parse_graph("3 2 undirected unweighted\n0 1\n")
-    with pytest.raises(GraphFormatError):
+    with pytest.raises(GraphFormatError, match="^bad edge line '0 1'$"):
         parse_graph("3 1 undirected weighted\n0 1\n")
-    with pytest.raises(GraphFormatError):
+    with pytest.raises(GraphFormatError, match="^bad edge line '0 1 5'$"):
         parse_graph("3 1 undirected unweighted\n0 1 5\n")
+
+
+# -- the tokenised parse against the line parser -----------------------------
+
+def _outcome(parse, text):
+    """The graph's fields, or the message of the GraphFormatError."""
+    try:
+        g = parse(text)
+    except GraphFormatError as exc:
+        return str(exc)
+    return (g.n, g.m, g.directed, g.weighted, g.offsets, g.targets, g.weights)
+
+
+def _lines(text):
+    return _parse_lines(text, DEFAULT_WEIGHT_CAP_EXPONENT)
+
+
+def _mutants(g, row, col):
+    """Texts one change away from format_graph(g), made at line `row` (0 is
+    the header) and its token `col`: bad or non-ASCII tokens, other
+    separators and line ends, comments, blank lines, token and edge
+    counts one off, ids and weights one past their range."""
+    lines = format_graph(g).split("\n")[:-1]
+    tokens = lines[row].split(" ")
+    cap = g.n ** DEFAULT_WEIGHT_CAP_EXPONENT
+
+    def swap(i, tok):
+        return " ".join(tokens[:i] + [tok] + tokens[i + 1:])
+
+    line_variants = [swap(col, tok) for tok in
+                     ["\u00b2", "\u0663", tokens[col] + "\u0663", "+1", "-1",
+                      "1_0", "0x1", "1.5"]]
+    line_variants += [lines[row].replace(" ", sep, 1)
+                      for sep in ["\t", " \t ", "\x0b", "\u2028"]]
+    line_variants += [lines[row] + "\r", lines[row] + " # note",
+                      lines[row] + "\n", lines[row] + "\n# comment",
+                      lines[row] + " 1", " ".join(tokens[:-1])]
+    if row:
+        line_variants.append(swap(0, str(g.n)))
+        line_variants.append(swap(1, str(g.n)))
+        if g.weighted:
+            line_variants.append(swap(2, str(cap + 1)))
+    out = ["\n".join(lines[:row] + [v] + lines[row + 1:]) + "\n"
+           for v in line_variants]
+    out.append("\n".join(lines))
+    head = lines[0].split(" ")
+    for n, m in [(head[0], g.m + 1), (head[0], g.m - 1),
+                 (MAX_VERTICES + 1, head[1])]:
+        out.append("\n".join([" ".join([str(n), str(m)] + head[2:])]
+                             + lines[1:]) + "\n")
+    return out
+
+
+def _assert_parsers_agree(g, row, col):
+    text = format_graph(g)
+    want = _outcome(_lines, text)
+    assert _parse_tokens(text, DEFAULT_WEIGHT_CAP_EXPONENT) is not None
+    assert _outcome(parse_graph, text) == want
+    for mutant in _mutants(g, row, col):
+        assert _outcome(parse_graph, mutant) == _outcome(_lines, mutant), \
+            repr(mutant)
+
+
+@pytest.mark.parametrize("block", [1, 7, graph_module._BLOCK])
+def test_parse_tokens_matches_line_parser_on_corpus(corpus, block):
+    # Block 1 ends a block at every line, 7 at about every other line.
+    with mock.patch.object(graph_module, "_BLOCK", block):
+        for tag, g in corpus:
+            for row in {0, g.m}:
+                for col in range(2 + g.weighted if row else 4):
+                    _assert_parsers_agree(g, row, col)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(), st.data(), st.sampled_from([1, 7, graph_module._BLOCK]))
+def test_parse_tokens_matches_line_parser(g, data, block):
+    row = data.draw(st.integers(0, g.m))
+    col = data.draw(st.integers(0, 3 if row == 0 else 1 + g.weighted))
+    with mock.patch.object(graph_module, "_BLOCK", block):
+        _assert_parsers_agree(g, row, col)
+
+
+def test_parse_tokens_across_blocks():
+    # About 226 KB: four blocks of the default size.
+    for directed in (False, True):
+        g = gen_random(4000, 16000, directed=directed, max_weight=4000,
+                       seed=1)
+        text = format_graph(g)
+        assert _outcome(parse_graph, text) == _outcome(_lines, text)
+        bad = text[:-2] + "\u0663\n"
+        assert _parse_tokens(bad, DEFAULT_WEIGHT_CAP_EXPONENT) is None
+        assert _outcome(parse_graph, bad) == _outcome(_lines, bad)
+
+
+def test_parse_tokens_splits_one_block_at_a_time():
+    # Splitting the whole body at once holds every token string alive
+    # together; block by block holds one block's.
+    text = format_graph(gen_random(2000, 8000, max_weight=4000, seed=2))
+
+    def peak():
+        tracemalloc.start()
+        try:
+            parse_graph(text)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    blocks = peak()
+    with mock.patch.object(graph_module, "_BLOCK", len(text)):
+        whole = peak()
+    assert blocks < 0.8 * whole
 
 
 def _counts():

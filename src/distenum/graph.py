@@ -192,8 +192,8 @@ def format_graph(g: Graph) -> str:
 # exactly the same graphs on such text, so anything else is left to it.
 _HEADER = re.compile(r"[ \t]*([0-9]+)[ \t]+([0-9]+)[ \t]+(directed|undirected)"
                      r"[ \t]+(weighted|unweighted)[ \t]*")
-_EDGE_ROWS = {want: re.compile(r"(?:[ \t]*+[0-9]++" + r"[ \t]++[0-9]++" * (want - 1)
-                               + r"[ \t]*+\n)*+") for want in (2, 3)}
+_EDGE_ROWS = {want: re.compile(r"(?:[ \t]*[0-9]+" + r"[ \t]+[0-9]+" * (want - 1)
+                               + r"[ \t]*\n)*") for want in (2, 3)}
 # Body characters tokenised at a time: one block's token strings are
 # alive at once, not the whole body's.
 _BLOCK = 1 << 16

@@ -246,6 +246,45 @@ def test_dedup_long_path_drains(n, mode):
     assert_valid_run(g, brute_force_matrix(g), mode, dedup=True)
 
 
+def _underflows(reason):
+    return pytest.mark.xfail(raises=ScheduleUnderflow, strict=True,
+                             reason=reason)
+
+
+def _path(n, weight=None):
+    return from_edge_list(n, [(i, i + 1) if weight is None else
+                              (i, i + 1, weight) for i in range(n - 1)], False)
+
+
+ROW_FILTERING = ("dedup row machine: late rows keep few pairs past their "
+                 "source, so their searches are almost pure filtering")
+EQUAL_WEIGHT_TIES = ("dedup sorted pool: with every key equal, ties visit "
+                     "each vertex's filtered arc to s - 1 first")
+
+
+@pytest.mark.parametrize("g, mode", [
+    pytest.param(_path(183), OutputMode(row_wise=True), id="path-row_wise-183",
+                 marks=_underflows(ROW_FILTERING)),
+    pytest.param(_path(287), OutputMode(reachable_only=True),
+                 id="path-reachable_only-287",
+                 marks=_underflows(ROW_FILTERING)),
+    pytest.param(from_edge_list(49, [(i, 48) for i in range(48)], False),
+                 OutputMode(no_self=True), id="star-centre-last-no_self-49",
+                 marks=_underflows("dedup no-self cursor: the centre comes "
+                                   "sixth and its whole row is filtered")),
+    pytest.param(_path(39, 1), OutputMode(sorted=True, no_self=True),
+                 id="path-w1-sorted+no_self-39",
+                 marks=_underflows(EQUAL_WEIGHT_TIES)),
+    pytest.param(_path(39, 5), OutputMode(sorted=True, no_self=True),
+                 id="path-w5-sorted+no_self-39",
+                 marks=_underflows(EQUAL_WEIGHT_TIES)),
+])
+def test_dedup_structured_families_drain(g, mode):
+    # Each is the smallest failing size of its family; one vertex fewer
+    # drains.  They underflow after 16,836, 41,328, 5, 1 and 1 outputs.
+    assert_valid_run(g, brute_force_matrix(g), mode, dedup=True)
+
+
 @pytest.mark.xfail(raises=ScheduleUnderflow, strict=True,
                    reason="the directed closing phase sweeps all n cells of "
                           "each incomplete instance to find one pair")

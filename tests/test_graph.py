@@ -182,7 +182,8 @@ def _mutants(g, row, col):
     """Texts one change away from format_graph(g), made at line `row` (0 is
     the header) and its token `col`: bad or non-ASCII tokens, other
     separators and line ends, comments, blank lines, token and edge
-    counts one off, ids and weights one past their range."""
+    counts one off, ids and weights at and one past the end of their
+    range."""
     lines = format_graph(g).split("\n")[:-1]
     tokens = lines[row].split(" ")
     cap = g.n ** DEFAULT_WEIGHT_CAP_EXPONENT
@@ -199,10 +200,10 @@ def _mutants(g, row, col):
                       lines[row] + "\n", lines[row] + "\n# comment",
                       lines[row] + " 1", " ".join(tokens[:-1])]
     if row:
-        line_variants.append(swap(0, str(g.n)))
-        line_variants.append(swap(1, str(g.n)))
+        line_variants += [swap(0, str(g.n)), swap(1, str(g.n)),
+                          swap(1, str(g.n - 1))]
         if g.weighted:
-            line_variants.append(swap(2, str(cap + 1)))
+            line_variants += [swap(2, str(cap + 1)), swap(2, str(cap))]
     out = ["\n".join(lines[:row] + [v] + lines[row + 1:]) + "\n"
            for v in line_variants]
     out.append("\n".join(lines))
@@ -219,6 +220,7 @@ def _assert_parsers_agree(g, row, col):
     want = _outcome(_lines, text)
     assert _parse_tokens(text, DEFAULT_WEIGHT_CAP_EXPONENT) is not None
     assert _outcome(parse_graph, text) == want
+    assert format_graph(parse_graph(text)) == text
     for mutant in _mutants(g, row, col):
         assert _outcome(parse_graph, mutant) == _outcome(_lines, mutant), \
             repr(mutant)

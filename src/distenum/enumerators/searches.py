@@ -33,8 +33,6 @@ heap on its lists.
 """
 from __future__ import annotations
 
-from collections import deque
-
 from .base import INFINITE
 from ..lazyarray import LazyArray
 from ..metering import NEVER, settle
@@ -82,12 +80,15 @@ def bfs_search(enum, s: int, dist: LazyArray, emit, *, skip_le: int = -1,
     index, back, value = dist._index, dist._back, dist._value
     dist.write(s, 0)
     counter.total += 1
-    frontier = deque([s])
+    # The written cells, in discovery order, are the FIFO queue: cells
+    # from head on are the frontier.
+    head = 0
     if counter.total >= counter.deadline:
         yield
-    while frontier:
-        v = frontier.popleft()
-        dv = value[index[v]]    # written before v joined the frontier
+    while head < dist.written_count:
+        v = back[head]
+        dv = value[head]
+        head += 1
         counter.total += 2      # the pop and the read
         lo, hi = offsets[v], offsets[v + 1]
         enum._see_degree(hi - lo)
@@ -108,7 +109,6 @@ def bfs_search(enum, s: int, dist: LazyArray, emit, *, skip_le: int = -1,
                     back[wc] = w
                     value[wc] = nd
                     wc += 1
-                    frontier.append(w)
             dist.written_count = wc
             counter.total += 2 * (end - i + wc - old)
             i = end

@@ -1,12 +1,9 @@
 """Reference distances, stream validation, and boolean matrix products.
 
-The reference matrix is computed two independent ways: repeated plain
-searches (deque BFS / heapq Dijkstra, no shared code with the streaming
-machines) and all-pairs relaxation on a dense float matrix.  Tests
-cross-check the two; library callers get the relaxation method by
-default, wherever float64 holds every distance exactly.  Unreachable
-pairs use math.inf, never a large finite stand-in; relaxation
-arithmetic saturates at inf naturally.
+The reference matrix comes from one plain search per source (deque BFS
+or heapq Dijkstra), which shares no code with the streaming machines.
+It adds Python integers, so every finite distance is exact at any
+weight.  Unreachable pairs use math.inf, never a large finite stand-in.
 """
 from __future__ import annotations
 
@@ -42,12 +39,19 @@ class DistanceMatrix:
         return f"DistanceMatrix(n={self.n})"
 
 
-def _matrix_by_search(g: Graph) -> DistanceMatrix:
+def brute_force_matrix(g: Graph, method: str = "search") -> DistanceMatrix:
+    """Reference all-pairs matrix by one plain search per source.
+
+    "search" is the only method; the parameter stays for callers that
+    name it.
+    """
+    if method != "search":
+        raise ValueError(f"unknown method {method!r}")
     rows = []
     for s in range(g.n):
         dist = [INFINITE] * g.n
+        dist[s] = 0
         if g.weighted:
-            dist[s] = 0
             heap = [(0, s)]
             done = [False] * g.n
             while heap:
@@ -62,7 +66,6 @@ def _matrix_by_search(g: Graph) -> DistanceMatrix:
                         dist[w] = nd
                         heapq.heappush(heap, (nd, w))
         else:
-            dist[s] = 0
             queue = deque([s])
             while queue:
                 v = queue.popleft()
@@ -71,43 +74,8 @@ def _matrix_by_search(g: Graph) -> DistanceMatrix:
                     if dist[w] == INFINITE:
                         dist[w] = dist[v] + 1
                         queue.append(w)
-        rows.append([int(x) if x != INFINITE else INFINITE for x in dist])
+        rows.append(dist)
     return DistanceMatrix(g.n, rows)
-
-
-def _matrix_by_relaxation(g: Graph) -> DistanceMatrix:
-    import numpy as np  # on first use: streaming commands start without it
-
-    n = g.n
-    d = np.full((n, n), np.inf)
-    np.fill_diagonal(d, 0.0)
-    for u in range(n):
-        for i in g.arcs_from(u):
-            v = g.targets[i]
-            w = g.weights[i] if g.weighted else 1
-            if w < d[u, v]:
-                d[u, v] = w
-    for k in range(n):
-        np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :], out=d)
-    rows = [[INFINITE if math.isinf(x) else int(x) for x in row] for row in d]
-    return DistanceMatrix(n, rows)
-
-
-def brute_force_matrix(g: Graph, method: str = "relaxation") -> DistanceMatrix:
-    """Reference all-pairs matrix; method is 'relaxation' or 'search'.
-
-    Relaxation works in float64, exact only below 2**53; when the total
-    arc weight, which bounds every finite distance, reaches that, the
-    search method answers instead.
-    """
-    if method == "relaxation":
-        total = sum(g.weights) if g.weighted else g.arc_count
-        if total >= 2 ** 53:
-            return _matrix_by_search(g)
-        return _matrix_by_relaxation(g)
-    if method == "search":
-        return _matrix_by_search(g)
-    raise ValueError(f"unknown method {method!r}")
 
 
 # ---------------------------------------------------------------------------

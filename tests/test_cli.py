@@ -170,26 +170,33 @@ def test_enumerate_weighted_bytes_at_chunk_edges(tmp_path, capsys, flag,
     assert " inf\n" in want
 
 
-def test_enumerate_starts_without_numpy(tmp_path):
-    # Only the relaxation oracle uses numpy, and it loads it on first use.
+def test_runs_without_numpy(tmp_path):
+    # The package has no runtime dependency: with numpy made unimportable,
+    # enumerate, verify and the oracle all run.
     p = tmp_path / "r.graph"
-    p.write_text(format_graph(gen_random(30, 60, max_weight=5, seed=2)))
+    g = gen_random(30, 60, max_weight=5, seed=2)
+    p.write_text(format_graph(g))
     code = f"""if True:
         import os, sys
+        sys.modules["numpy"] = None
         import distenum, distenum.cli
-        sys.stdout = open(os.devnull, "w")
+        out, sys.stdout = sys.stdout, open(os.devnull, "w")
         assert distenum.cli.main(["enumerate", {str(p)!r}]) == 0
-        assert "numpy" not in sys.modules
-        g = distenum.parse_graph(open({str(p)!r}).read())
-        got = distenum.brute_force_matrix(g)
-        assert "numpy" in sys.modules
-        assert got == distenum.brute_force_matrix(g, "search")
+        assert distenum.cli.main(["verify", {str(p)!r}]) == 0
+        sys.stdout = out
+        m = distenum.brute_force_matrix(
+            distenum.parse_graph(open({str(p)!r}).read()))
+        for u in range(m.n):
+            print(*m.row(u))
         """
     env = dict(os.environ,
                PYTHONPATH=str(Path(distenum.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+    m = distenum.brute_force_matrix(g)
+    assert proc.stdout.splitlines() == [
+        " ".join(map(str, m.row(u))) for u in range(m.n)]
 
 
 def test_enumerate_huge_header_is_input_error(tmp_path, capsys):

@@ -256,10 +256,16 @@ def _path(n, weight=None):
                               (i, i + 1, weight) for i in range(n - 1)], False)
 
 
+def _complete(n):
+    return from_edge_list(n, list(itertools.combinations(range(n), 2)), False)
+
+
 ROW_FILTERING = ("dedup row machine: late rows keep few pairs past their "
                  "source, so their searches are almost pure filtering")
 EQUAL_WEIGHT_TIES = ("dedup sorted pool: with every key equal, ties visit "
                      "each vertex's filtered arc to s - 1 first")
+STAR_TIES = ("dedup sorted pool: with every key equal, each leaf's only arc "
+             "goes to the filtered centre 0")
 
 
 @pytest.mark.parametrize("g, mode", [
@@ -278,11 +284,38 @@ EQUAL_WEIGHT_TIES = ("dedup sorted pool: with every key equal, ties visit "
     pytest.param(_path(39, 5), OutputMode(sorted=True, no_self=True),
                  id="path-w5-sorted+no_self-39",
                  marks=_underflows(EQUAL_WEIGHT_TIES)),
+    pytest.param(gen_star(91, [1] * 90), OutputMode(sorted=True, no_self=True),
+                 id="star-w1-sorted+no_self-91",
+                 marks=_underflows(STAR_TIES)),
+    pytest.param(gen_star(91, [5] * 90), OutputMode(sorted=True, no_self=True),
+                 id="star-w5-sorted+no_self-91",
+                 marks=_underflows(STAR_TIES)),
+    pytest.param(_complete(5), OutputMode(no_self=True), id="K5-no_self",
+                 marks=_underflows("dedup no-self cursor: K5 runs dry on the "
+                                   "pull that should end the stream")),
 ])
 def test_dedup_structured_families_drain(g, mode):
     # Each is the smallest failing size of its family; one vertex fewer
-    # drains.  They underflow after 16,836, 41,328, 5, 1 and 1 outputs.
+    # drains (K4 and K6 drain too).  They underflow after 16,836, 41,328,
+    # 5, 1, 1, 1, 1 and 10 outputs: K5's ten pairs are all out.
     assert_valid_run(g, brute_force_matrix(g), mode, dedup=True)
+
+
+@pytest.mark.parametrize("g", [
+    pytest.param(_complete(11), id="K11"),
+    pytest.param(gen_random(20, 180, seed=20), id="random-20-180"),
+])
+@pytest.mark.parametrize("mode", [
+    OutputMode(sorted=True, no_self=True),
+    OutputMode(sorted=True, no_self=True, reachable_only=True),
+], ids=["sorted+no_self", "sorted+no_self+reachable_only"])
+@_underflows("sorted no-self cursor: it runs to its end before any instance "
+             "searches, and on a dense graph the instances' emit-free "
+             "distance-1 scans outrun the banked triples")
+def test_sorted_no_self_dense_drains(g, mode):
+    # K11 underflows once all 110 triples are out (K10 drains), the
+    # 0.95-dense random graph after 374 outputs.  No dedup is involved.
+    assert_valid_run(g, brute_force_matrix(g), mode)
 
 
 @pytest.mark.xfail(raises=ScheduleUnderflow, strict=True,

@@ -27,14 +27,43 @@ def test_empty_graph_off_diagonal_inf():
             assert m.entry(u, v) == (0 if u == v else INF)
 
 
-def test_methods_agree():
+def floyd_warshall(g):
+    """Integer Floyd-Warshall rows: a cross-check that shares no code
+    with the search oracle, cubic, so for small graphs only."""
+    n = g.n
+    assert n <= 30
+    d = [[0 if u == v else INF for v in range(n)] for u in range(n)]
+    for u in range(n):
+        for i in g.arcs_from(u):
+            v = g.targets[i]
+            d[u][v] = min(d[u][v], g.weights[i] if g.weighted else 1)
+    for k in range(n):
+        dk = d[k]
+        for du in d:
+            duk = du[k]
+            if duk < INF:
+                for v in range(n):
+                    if duk + dk[v] < du[v]:
+                        du[v] = duk + dk[v]
+    return d
+
+
+def test_oracle_matches_floyd_warshall():
     for seed in range(6):
         g = gen_random(25, 80, directed=seed % 2 == 1,
                        max_weight=0 if seed < 3 else 12, seed=seed)
-        a = brute_force_matrix(g, method="relaxation")
-        b = brute_force_matrix(g, method="search")
+        m = brute_force_matrix(g)
+        ref = floyd_warshall(g)
         for u in range(g.n):
-            assert a.row(u) == b.row(u), (seed, u)
+            assert m.row(u) == ref[u], (seed, u)
+
+
+def test_oracle_method_is_search_only():
+    g = from_edge_list(3, [(0, 1), (1, 2)], False)
+    assert brute_force_matrix(g, "search") == brute_force_matrix(g)
+    for method in ("relaxation", "floyd"):
+        with pytest.raises(ValueError, match=f"unknown method '{method}'"):
+            brute_force_matrix(g, method)
 
 
 def test_matrix_invariants(corpus, corpus_matrices):
@@ -50,11 +79,13 @@ def test_matrix_invariants(corpus, corpus_matrices):
                         assert duv <= duw + dwv, (tag, u, w, v)
 
 
-def test_relaxation_stays_exact_past_two_to_53():
+def test_oracle_stays_exact_past_two_to_53():
+    # Past 2**53 a float would round 2**53 + 1 down; the oracle adds ints.
     g = from_edge_list(3, [(0, 1, 2 ** 53), (1, 2, 1)], True, weighted=True,
                        weight_cap_exponent=60)
-    assert brute_force_matrix(g).entry(0, 2) == 2 ** 53 + 1
-    assert brute_force_matrix(g) == brute_force_matrix(g, "search")
+    m = brute_force_matrix(g)
+    assert m.entry(0, 2) == 2 ** 53 + 1
+    assert [m.row(u) for u in range(g.n)] == floyd_warshall(g)
 
 
 @settings(max_examples=200, deadline=None)
